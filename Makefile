@@ -32,8 +32,10 @@
 #                      smoke (repro plan --oracle --execute: the planned
 #                      config must match exhaustive enumeration and run a
 #                      real day economically identical to the naive
-#                      default); the bench and all four day runs exit
-#                      non-zero on any identity or determinism regression
+#                      default); the day runs exit non-zero on any
+#                      identity or determinism regression, and the smoke
+#                      bench on any gate of scripts/check_bench_schema.py
+#                      — its certificates and its floors alike
 
 PYTHON ?= python
 export PYTHONPATH := src

@@ -2,78 +2,43 @@
 """Run the crypto micro-benchmarks and distill them into ``BENCH_crypto.json``.
 
 Executes ``benchmarks/test_crypto_micro.py`` under pytest-benchmark, then
-writes a compact JSON report pairing each accelerated primitive with its
-pre-acceleration baseline so the perf trajectory is tracked PR over PR:
+runs one experiment per report section and writes the compact JSON report
+that tracks the perf trajectory PR over PR:
 
-* ``encrypt``: pooled online path vs. fresh exponentiation ("before"),
-* ``decrypt``: CRT fast path vs. textbook formula ("before"),
-* the offline obfuscator precompute cost per entry,
-* ``comparison``: the offline garbled-comparison pipeline — prepared
-  instances (offline garbling + OT extension) vs. the classic inline Yao
-  protocol, on both the simulated cost-model clock and measured wall
-  time, plus an outcome-identity certificate (the pooled path must agree
-  with the classic path and the plaintext comparison on random operands;
-  the script exits non-zero otherwise),
-* ``garbling``: the pluggable garbling schemes compared head to head —
-  per-instance garbled-table bytes and measured garble wall-clock for
-  ``classic`` (point-and-permute, the seed-identical default) vs.
-  ``halfgates`` (free-XOR + two-row AND gates), the lowered-circuit gate
-  histograms behind the free-gate claim, an outcome-identity certificate
-  (both schemes must agree with the plaintext comparison on random
-  operands; labels and tables necessarily differ), and a sharding
-  certificate (each scheme's sampled day stays bit-identical at workers
-  1/2/4 and the schemes stay *economically* identical to each other),
-* ``multiexp``: the multi-exponentiation toolbox certified against the
-  builtin ``pow`` oracle — fixed-window, fixed-base comb (the Protocol 4
-  ratio-phase shape: one base, many small exponents) and Straus
-  simultaneous exponentiation, plus the identity of the active bigint
-  backend (pure Python in this container; gmpy2 is picked up
-  automatically when present),
-* ``parallel_runner``: a Fig. 5-style sampled day executed serially and
-  sharded across ``--workers`` processes — certifies the sharded run is
-  bit-identical and records the day-runtime speedup on both the simulated
-  clock (the repo's canonical runtime metric, near-linear in workers) and
-  host wall-clock (bounded by the machine's real core count, which is also
-  recorded),
-* ``aggregation_topology``: the chain-vs-tree encrypted-sum aggregation —
-  critical-path simulated time per topology at n ∈ {8, 32, 128}
-  requesters under the latency-hiding cost model, an identity certificate
-  (every topology must produce the bit-identical encrypted sum the serial
-  chain produces; the script exits non-zero otherwise), and a sharding
-  certificate (chain and tree days stay bit-identical at workers 1/2/4),
-* ``session_reuse``: the same sampled day with window-scoped vs.
-  day-scoped protocol sessions — the simulated-day speedup of amortizing
-  the fixed 0.5 s setup and the base-OT session across the day, with
-  three certificates (the script exits non-zero if any fails): the two
-  scopes must be economically identical, the day-scoped run must stay
-  bit-identical under sharding at workers 1/2/4 (sessions established
-  exactly once per pair per day), and a day run over ``SocketTransport``
-  (real loopback TCP) must be bit-identical to ``LocalTransport``,
-* ``pipelining``: the window-pipelined day — window W+1's offline phase
-  (randomizer warm-up, garbling, OT extension) overlapped with window W's
-  online phase under day-scoped sessions and the WAN cost profile, each
-  pipeline slot charged ``max(online_W, offline_W+1)`` on the simulated
-  clock, with the certificates (the script exits non-zero if any fails):
-  pipelined runs must stay bit-identical to the unpipelined day at
-  workers 1/2/4 over local *and* socket transports and under the tree
-  topology, a seeded chaos run must retry back to the bit-identical
-  clean day (a retried window cannot consume its successor's pre-staged
-  material), and the day speedup must clear the 1.3x floor whenever at
-  least 6 windows were sampled,
-* ``chaos``: the chaos-engine survival matrix — one seeded deterministic
-  fault plan (frame drops / reorders / duplicates / corruption, a
-  mid-window pool drain, a SIGKILLed socket shard worker) executed across
-  transport x session-scope x workers 1/2/4, with the zero-silent-wrong-
-  answer certificates (the script exits non-zero if any fails): every
-  cell must recover to the bit-identical fault-free day with all
-  incidents classified and recovered, retry overhead must stay within
-  the supervisor's budget, and a tampered-GC run must fail closed with
-  an attributable ``integrity_violation`` (see ``docs/CHAOS.md``).
+* ``speedups`` — pooled vs. fresh encrypt, CRT vs. textbook decrypt and
+  prepared vs. inline garbled comparison, from the micro-benchmarks;
+* ``comparison`` — the offline garbled-comparison pipeline on the
+  simulated and wall clocks, with an outcome-identity certificate;
+* ``garbling`` — classic vs. half-gates table bytes and garble wall-clock,
+  with outcome, sharding and cross-scheme economics certificates;
+* ``multiexp`` — the fixed-base comb (Protocol 4's ratio-phase shape)
+  certified against and timed next to the builtin ``pow``;
+* ``aggregation_topology`` — chain vs. tree encrypted-sum aggregation,
+  with identity and sharding certificates;
+* ``session_reuse`` — window- vs. day-scoped sessions, with economics,
+  sharding and socket-transport certificates;
+* ``pipelining`` — the window-pipelined day, with bit-identity and
+  chaos-retry certificates;
+* ``chaos`` — the fault-injection survival matrix and the fail-closed
+  tamper certificate;
+* ``planner`` — the deployment-planner sweep with its oracle and
+  executed-day certificates;
+* ``parallel_runner`` — a sampled day run serially and sharded across
+  ``--workers`` processes, with the bit-identity certificate.
+
+The script holds no gate of its own.  It checks the report it just built
+with ``validate_report`` from ``scripts/check_bench_schema.py`` — the one
+definition of every certificate and floor, which ``make docs-check`` also
+applies to the committed file — prints each problem, writes the report
+either way and exits non-zero if any gate fails.  Every scale enforces the
+floors as well as the certificates, the ``smoke`` run of ``make ci``
+included (the pipelining floor applies from 6 sampled windows).  See
+``docs/BENCHMARKS.md`` for every field.
 
 Usage::
 
     python benchmarks/run_crypto_bench.py [--scale smoke|quick|default|full]
-                                          [--workers N] [--skip-parallel]
+                                          [--workers N]
                                           [--output BENCH_crypto.json]
 
 The scale defaults to ``REPRO_BENCH_SCALE`` (or ``default``); ``smoke`` is
@@ -89,9 +54,13 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "scripts"))
+
+from check_bench_schema import validate_report  # noqa: E402
 
 #: (home_count, sampled windows, crypto key bits) per scale for the
 #: parallel-day run; kept small — the point is the sharding behavior, not
@@ -141,8 +110,6 @@ MULTIEXP_MODULUS_BITS = 512
 #: Protocol 4 ratio phase raises ONE ciphertext to many small multipliers.
 MULTIEXP_SMALL_EXPONENT_BITS = 64
 MULTIEXP_BATCH = 16
-#: bases per Straus simultaneous-exponentiation certificate.
-MULTIEXP_SIMULTANEOUS_BASES = 8
 
 #: requester counts covered by the ``aggregation_topology`` section.
 TOPOLOGY_REQUESTER_COUNTS = (8, 32, 128)
@@ -170,11 +137,6 @@ SESSION_WORKER_COUNTS = (1, 2, 4)
 PIPELINE_SCALES = SESSION_SCALES
 #: worker counts of the pipelining bit-identity certificate.
 PIPELINE_WORKER_COUNTS = (1, 2, 4)
-#: simulated-day speedup the pipelined schedule must clear — gated only
-#: when the sampled day has at least MIN_PIPELINE_WINDOWS windows (the
-#: anchor's un-hideable offline phase dominates shorter days).
-MIN_PIPELINE_SPEEDUP = 1.3
-MIN_PIPELINE_WINDOWS = 6
 
 #: (home_count, sampled windows) per scale for the chaos survival matrix —
 #: every cell runs the whole sampled day, so the matrix dominates the
@@ -424,117 +386,46 @@ def run_garbling_section(scale: str) -> dict:
 def run_multiexp_section() -> dict:
     """Build the ``multiexp`` report section.
 
-    Every primitive is certified against the builtin ``pow`` oracle (the
-    ``matches_pow`` flags — the script exits non-zero if any is false) and
-    timed against it.  The speedups are *recorded, not gated*: pure-Python
-    windowing cannot beat the C builtin on a single exponentiation — the
-    wins come from amortization (the fixed-base comb squares zero times
-    per exponentiation) and from a faster bigint backend when one is
-    installed, which is why the active backend's identity is part of the
-    report.
+    The fixed-base comb is certified against the builtin ``pow`` oracle
+    (``matches_pow``) and timed next to it over a batch of small exponents
+    of one base — Protocol 4's ratio-phase shape.  The table build is
+    charged to the batch.  The speedup is recorded, not gated.
     """
     import random
     import time
 
-    from repro.crypto.accel import (
-        FixedBaseTable,
-        backend,
-        fixed_window_powmod,
-        simultaneous_powmod,
-    )
+    from repro.crypto.accel import FixedBaseTable
 
     rng = random.Random(0xC0FFEE)
     modulus = rng.getrandbits(MULTIEXP_MODULUS_BITS) | (
         1 << (MULTIEXP_MODULUS_BITS - 1)
     ) | 1
     base = rng.randrange(2, modulus)
-
-    def timed(thunk):
-        start = time.perf_counter()
-        result = thunk()
-        return result, time.perf_counter() - start
-
-    # Fixed-window vs. pow on full-width exponents.
-    wide_exponents = [rng.getrandbits(MULTIEXP_MODULUS_BITS) for _ in range(4)]
-    oracle, pow_seconds = timed(
-        lambda: [pow(base, e, modulus) for e in wide_exponents]
-    )
-    windowed, window_seconds = timed(
-        lambda: [fixed_window_powmod(base, e, modulus) for e in wide_exponents]
-    )
-    fixed_window_entry = {
-        "matches_pow": windowed == oracle,
-        "exponent_bits": MULTIEXP_MODULUS_BITS,
-        "batch": len(wide_exponents),
-        "pow_seconds": round(pow_seconds, 9),
-        "seconds": round(window_seconds, 9),
-        "speedup_vs_pow": round(pow_seconds / window_seconds, 2)
-        if window_seconds > 0
-        else None,
-    }
-
-    # Fixed-base comb, amortized over a batch of small exponents (the
-    # Protocol 4 ratio-phase shape).  The table build is charged to the
-    # batch: the certificate times build + every exponentiation.
     small_exponents = [
         rng.getrandbits(MULTIEXP_SMALL_EXPONENT_BITS) for _ in range(MULTIEXP_BATCH)
     ]
-    oracle, pow_seconds = timed(
-        lambda: [pow(base, e, modulus) for e in small_exponents]
+
+    start = time.perf_counter()
+    oracle = [pow(base, e, modulus) for e in small_exponents]
+    pow_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    table = FixedBaseTable(
+        base, modulus, max_exponent_bits=MULTIEXP_SMALL_EXPONENT_BITS
     )
-
-    def comb_batch():
-        table = FixedBaseTable(
-            base, modulus, max_exponent_bits=MULTIEXP_SMALL_EXPONENT_BITS
-        )
-        return [table.powmod(e) for e in small_exponents]
-
-    combed, comb_seconds = timed(comb_batch)
-    fixed_base_entry = {
-        "matches_pow": combed == oracle,
-        "exponent_bits": MULTIEXP_SMALL_EXPONENT_BITS,
-        "batch": MULTIEXP_BATCH,
-        "pow_seconds": round(pow_seconds, 9),
-        "seconds": round(comb_seconds, 9),
-        "speedup_vs_pow": round(pow_seconds / comb_seconds, 2)
-        if comb_seconds > 0
-        else None,
-    }
-
-    # Straus simultaneous exponentiation vs. a product of pows.
-    bases = [rng.randrange(2, modulus) for _ in range(MULTIEXP_SIMULTANEOUS_BASES)]
-    exponents = [
-        rng.getrandbits(MULTIEXP_MODULUS_BITS // 2)
-        for _ in range(MULTIEXP_SIMULTANEOUS_BASES)
-    ]
-
-    def pow_product():
-        product = 1
-        for b, e in zip(bases, exponents):
-            product = product * pow(b, e, modulus) % modulus
-        return product
-
-    oracle_product, pow_seconds = timed(pow_product)
-    simultaneous, straus_seconds = timed(
-        lambda: simultaneous_powmod(bases, exponents, modulus)
-    )
-    simultaneous_entry = {
-        "matches_pow": simultaneous == oracle_product,
-        "exponent_bits": MULTIEXP_MODULUS_BITS // 2,
-        "bases": MULTIEXP_SIMULTANEOUS_BASES,
-        "pow_seconds": round(pow_seconds, 9),
-        "seconds": round(straus_seconds, 9),
-        "speedup_vs_pow": round(pow_seconds / straus_seconds, 2)
-        if straus_seconds > 0
-        else None,
-    }
-
+    combed = [table.powmod(e) for e in small_exponents]
+    comb_seconds = time.perf_counter() - start
     return {
-        "backend": backend().name,
         "modulus_bits": MULTIEXP_MODULUS_BITS,
-        "fixed_window": fixed_window_entry,
-        "fixed_base_comb": fixed_base_entry,
-        "simultaneous": simultaneous_entry,
+        "fixed_base_comb": {
+            "matches_pow": combed == oracle,
+            "exponent_bits": MULTIEXP_SMALL_EXPONENT_BITS,
+            "batch": MULTIEXP_BATCH,
+            "pow_seconds": round(pow_seconds, 9),
+            "seconds": round(comb_seconds, 9),
+            "speedup_vs_pow": round(pow_seconds / comb_seconds, 2)
+            if comb_seconds > 0
+            else None,
+        },
     }
 
 
@@ -642,8 +533,8 @@ def run_pipelining_section(scale: str) -> dict:
     (``RunReport.pipelined_simulated_seconds`` vs.
     ``unpipelined_simulated_seconds``); the certificates — bit-identity at
     every worker count over both transports and the tree topology, and
-    chaos recovery without touching pre-staged successor material — are
-    gated in ``main``.
+    chaos recovery without touching pre-staged successor material — and
+    the speedup floor are gated by ``validate_report``.
     """
     from repro.analysis.experiments import experiment_window_pipelining
 
@@ -685,9 +576,8 @@ def run_chaos_section(scale: str) -> dict:
     transport x session-scope x workers.  Every cell must recover to the
     *bit-identical* fault-free day with every incident classified; a
     tampered-GC run must fail closed with an attributable
-    ``integrity_violation``.  The script exits non-zero if any injected-
-    fault run diverges after recovery, if any incident goes unrecovered,
-    or if tampering does not abort — the zero-silent-wrong-answer gate.
+    ``integrity_violation`` — the zero-silent-wrong-answer gates of
+    ``validate_report``.
     """
     from repro.analysis.experiments import experiment_chaos_matrix
 
@@ -768,7 +658,7 @@ def run_planner_section(scale: str) -> dict:
     }
 
 
-def run_parallel_day(scale: str, workers: int, background_refill: bool) -> dict:
+def run_parallel_day(scale: str, workers: int) -> dict:
     """Execute the sharded-day experiment and distill it for the report."""
     from repro.analysis.experiments import experiment_parallel_day
 
@@ -778,7 +668,6 @@ def run_parallel_day(scale: str, workers: int, background_refill: bool) -> dict:
         sample_count=sample_count,
         workers=workers,
         crypto_key_size=crypto_bits,
-        background_refill=background_refill,
     )
     return {
         "home_count": obs.home_count,
@@ -797,11 +686,10 @@ def run_parallel_day(scale: str, workers: int, background_refill: bool) -> dict:
         )
         if obs.parallel_wall_seconds > 0
         else None,
-        "background_refill": background_refill,
     }
 
 
-def main() -> int:
+def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--scale",
@@ -815,21 +703,11 @@ def main() -> int:
         help="worker processes for the sharded-day experiment (default 4)",
     )
     parser.add_argument(
-        "--background-refill",
-        action="store_true",
-        help="run the sharded day with background randomizer-pool refills",
-    )
-    parser.add_argument(
-        "--skip-parallel",
-        action="store_true",
-        help="skip the parallel-runner day experiment",
-    )
-    parser.add_argument(
         "--output",
         type=Path,
         default=REPO_ROOT / "BENCH_crypto.json",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
         raw_path = Path(tmp) / "raw.json"
@@ -841,7 +719,7 @@ def main() -> int:
     report["comparison"] = run_comparison_section(report["benchmarks"])
     print("running the garbling-scheme comparison (classic vs. halfgates) ...")
     report["garbling"] = run_garbling_section(args.scale)
-    print("running the multi-exponentiation oracle certificates ...")
+    print("running the fixed-base comb oracle certificate ...")
     report["multiexp"] = run_multiexp_section()
     print("running the aggregation-topology sweep + identity/sharding certificates ...")
     report["aggregation_topology"] = run_topology_section()
@@ -853,309 +731,15 @@ def main() -> int:
     report["chaos"] = run_chaos_section(args.scale)
     print("running the deployment-planner sweep (oracle + executed certificates) ...")
     report["planner"] = run_planner_section(args.scale)
-    if not args.skip_parallel:
-        print(f"running the sharded-day experiment ({args.workers} workers) ...")
-        report["parallel_runner"] = run_parallel_day(
-            args.scale, args.workers, args.background_refill
-        )
+    print(f"running the sharded-day experiment ({args.workers} workers) ...")
+    report["parallel_runner"] = run_parallel_day(args.scale, args.workers)
     args.output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
-    print(f"wrote {args.output}")
-    for label, per_param in report["speedups"].items():
-        for param, ratio in sorted(per_param.items()):
-            print(f"  {label}[{param}]: {ratio}x")
-    failed = False
-    for param, entry in sorted(report["comparison"].items()):
-        print(
-            f"  comparison[{param}b]: {entry['simulated_online_reduction']}x online "
-            f"simulated reduction"
-            + (
-                f", {entry['wall_online_reduction']}x wall"
-                if "wall_online_reduction" in entry
-                else ""
-            )
-            + f", outcomes_match={entry['outcomes_match']}"
-        )
-        if not entry["outcomes_match"]:
-            print(
-                f"ERROR: pooled comparison outcomes diverged from the classic "
-                f"path / plaintext at {param} bits — correctness regression",
-                file=sys.stderr,
-            )
-            failed = True
-    garbling = report["garbling"]
-    for width, entry in sorted(
-        garbling["widths"].items(), key=lambda item: int(item[0])
-    ):
-        print(
-            f"  garbling[{width}b]: {entry['table_bytes_reduction']}x table bytes, "
-            f"{entry['garble_time_reduction']}x garble wall-clock "
-            f"(halfgates vs. classic), outcomes_match={entry['outcomes_match']}"
-        )
-        if not entry["outcomes_match"]:
-            print(
-                f"ERROR: classic and halfgates outcomes diverged from the "
-                f"plaintext comparison at {width} bits — correctness regression",
-                file=sys.stderr,
-            )
-            failed = True
-    for name, cert in sorted(garbling["shard_invariance"].items()):
-        flags = cert["identical"]
-        print(
-            f"  garbling[{name}]: shard-invariant at workers "
-            + "/".join(sorted(flags, key=int))
-            + f" = {all(flags.values())}, gc_fallbacks={cert['gc_fallbacks']}"
-        )
-        if not all(flags.values()):
-            print(
-                f"ERROR: {name}-scheme day diverged under sharding "
-                f"({flags}) — determinism regression",
-                file=sys.stderr,
-            )
-            failed = True
-    if not garbling["economics_identical_across_schemes"]:
-        print(
-            "ERROR: classic and halfgates days diverged economically — "
-            "the garbling scheme changed trades or prices",
-            file=sys.stderr,
-        )
-        failed = True
-    multiexp = report["multiexp"]
-    for name in ("fixed_window", "fixed_base_comb", "simultaneous"):
-        entry = multiexp[name]
-        print(
-            f"  multiexp[{name}]: matches_pow={entry['matches_pow']}, "
-            f"{entry['speedup_vs_pow']}x vs. builtin pow "
-            f"(backend={multiexp['backend']})"
-        )
-        if not entry["matches_pow"]:
-            print(
-                f"ERROR: {name} diverged from the builtin pow oracle — "
-                "correctness regression",
-                file=sys.stderr,
-            )
-            failed = True
-    topology = report["aggregation_topology"]
-    for count, entry in sorted(
-        topology["requesters"].items(), key=lambda item: int(item[0])
-    ):
-        print(
-            f"  aggregation_topology[n={count}]: "
-            f"{entry['tree_vs_chain_speedup']}x tree:2 vs chain simulated, "
-            f"sums_identical={entry['sums_identical']}"
-        )
-        if not entry["sums_identical"]:
-            print(
-                f"ERROR: tree and chain aggregation sums diverged at "
-                f"{count} requesters — correctness regression",
-                file=sys.stderr,
-            )
-            failed = True
-    for name, cert in sorted(topology["shard_invariance"].items()):
-        flags = cert["identical"]
-        print(
-            f"  aggregation_topology[{name}]: shard-invariant at workers "
-            + "/".join(sorted(flags, key=int))
-            + f" = {all(flags.values())}"
-        )
-        if not all(flags.values()):
-            print(
-                f"ERROR: {name}-topology day diverged under sharding "
-                f"({flags}) — determinism regression",
-                file=sys.stderr,
-            )
-            failed = True
-    session = report["session_reuse"]
-    print(
-        f"  session_reuse[{session['windows_executed']} windows]: "
-        f"{session['session_reuse_speedup']}x simulated day speedup (day vs. window "
-        f"scope), sessions established/reused = {session['sessions_established']}/"
-        f"{session['sessions_reused']}, socket_identical="
-        f"{session['socket_transport_identical']}"
-    )
-    if not session["economics_identical"]:
-        print(
-            "ERROR: day-scoped sessions changed the economic results vs. window "
-            "scope — correctness regression",
-            file=sys.stderr,
-        )
-        failed = True
-    if not all(session["shard_invariance"].values()):
-        print(
-            f"ERROR: day-scoped day diverged under sharding "
-            f"({session['shard_invariance']}) — determinism regression",
-            file=sys.stderr,
-        )
-        failed = True
-    if not session["socket_transport_identical"]:
-        print(
-            "ERROR: SocketTransport day diverged from LocalTransport — "
-            "transport regression",
-            file=sys.stderr,
-        )
-        failed = True
-    pipelining = report["pipelining"]
-    print(
-        f"  pipelining[{pipelining['windows_executed']} windows]: "
-        f"{pipelining['pipeline_speedup']}x simulated day speedup "
-        f"({pipelining['hidden_offline_seconds']}s offline hidden), "
-        f"identical={all(pipelining['identical_by_workers'].values())}, "
-        f"socket_identical={all(pipelining['socket_identical_by_workers'].values())}, "
-        f"chaos_recovered_identical={pipelining['chaos_recovered_identical']}"
-    )
-    if not all(pipelining["identical_by_workers"].values()):
-        print(
-            f"ERROR: pipelined day diverged from the unpipelined day "
-            f"({pipelining['identical_by_workers']}) — pipelining must move "
-            "wall-clock work, never results or accounting",
-            file=sys.stderr,
-        )
-        failed = True
-    if not all(pipelining["socket_identical_by_workers"].values()):
-        print(
-            f"ERROR: pipelined socket day diverged "
-            f"({pipelining['socket_identical_by_workers']}) — transport "
-            "regression under pipelining",
-            file=sys.stderr,
-        )
-        failed = True
-    if not pipelining["tree_topology_identical"]:
-        print(
-            "ERROR: pipelined tree-topology day diverged from its "
-            "unpipelined baseline — topology regression under pipelining",
-            file=sys.stderr,
-        )
-        failed = True
-    if not (pipelining["chaos_recovered"] and pipelining["chaos_recovered_identical"]):
-        print(
-            "ERROR: chaos-seeded pipelined day did not recover to the "
-            "bit-identical clean day — a retried window consumed or "
-            "double-charged pre-staged material",
-            file=sys.stderr,
-        )
-        failed = True
-    if (
-        pipelining["windows_executed"] >= MIN_PIPELINE_WINDOWS
-        and pipelining["pipeline_speedup"] < MIN_PIPELINE_SPEEDUP
-    ):
-        print(
-            f"ERROR: pipelined day speedup {pipelining['pipeline_speedup']} "
-            f"below the {MIN_PIPELINE_SPEEDUP}x floor at "
-            f"{pipelining['windows_executed']} windows — perf regression",
-            file=sys.stderr,
-        )
-        failed = True
-    chaos = report["chaos"]
-    print(
-        f"  chaos[{len(chaos['matrix'])} cells]: {chaos['total_incidents']} incidents, "
-        f"recovery_rate={chaos['recovery_rate']}, retry_overhead="
-        f"{chaos['retry_overhead']}, tamper_fail_closed={chaos['tamper_fail_closed']}"
-    )
-    diverged = {
-        name: cell
-        for name, cell in chaos["matrix"].items()
-        if not (cell["recovered"] and cell["recovered_identical"])
-    }
-    if diverged:
-        print(
-            f"ERROR: chaos cells diverged after recovery ({sorted(diverged)}) — "
-            "a recovered run must be bit-identical to the fault-free day",
-            file=sys.stderr,
-        )
-        failed = True
-    if chaos["total_incidents"] == 0:
-        print(
-            "ERROR: the chaos matrix injected no faults — the survival "
-            "certificate is vacuous",
-            file=sys.stderr,
-        )
-        failed = True
-    if chaos["recovery_rate"] < 1.0:
-        print(
-            f"ERROR: chaos recovery rate {chaos['recovery_rate']} < 1.0 — "
-            "some incidents went unrecovered on completed runs",
-            file=sys.stderr,
-        )
-        failed = True
-    if chaos["retry_overhead"] > chaos["max_attempts"] - 1:
-        print(
-            f"ERROR: chaos retry overhead {chaos['retry_overhead']} exceeds the "
-            f"retry budget ({chaos['max_attempts'] - 1} extra attempts/window)",
-            file=sys.stderr,
-        )
-        failed = True
-    if not (chaos["tamper_fail_closed"] and chaos["tamper_incident_classified"]):
-        print(
-            "ERROR: tampered GC material did not fail closed with a classified "
-            "integrity_violation — silent-wrong-answer path",
-            file=sys.stderr,
-        )
-        failed = True
-    planner = report["planner"]
-    for name, regime in sorted(planner["regimes"].items()):
-        print(
-            f"  planner[{name}]: {regime['speedup']}x predicted "
-            f"(naive {regime['naive_day_seconds']}s -> planned "
-            f"{regime['planned_day_seconds']}s), oracle_match="
-            f"{regime['oracle_match']}, pruned "
-            f"{regime['candidates_pruned']}/{regime['space_size']}"
-        )
-        if not regime["oracle_match"]:
-            print(
-                f"ERROR: planner[{name}] diverged from the exhaustive-"
-                "enumeration oracle — the branch-and-bound search is not "
-                "returning the argmin",
-                file=sys.stderr,
-            )
-            failed = True
-        if regime["speedup"] <= 1.0:
-            print(
-                f"ERROR: planner[{name}] predicted speedup "
-                f"{regime['speedup']}x does not beat the naive default "
-                "(must be > 1.0x in every swept regime)",
-                file=sys.stderr,
-            )
-            failed = True
-    executed = planner["executed"]
-    print(
-        f"  planner.executed[{executed['regime']}]: economics_identical="
-        f"{executed['economics_identical']}, measured "
-        f"{executed['measured_speedup']}x over {executed['windows_executed']} "
-        "windows"
-    )
-    if not executed["economics_identical"]:
-        print(
-            "ERROR: the executed planned deployment is not economically "
-            "identical to the naive default — the planner changed trades, "
-            "not just clock charges",
-            file=sys.stderr,
-        )
-        failed = True
-    if executed["measured_speedup"] <= 1.0:
-        print(
-            f"ERROR: the executed planned deployment measured "
-            f"{executed['measured_speedup']}x — it must beat the naive "
-            "default on the runtime's own day clock",
-            file=sys.stderr,
-        )
-        failed = True
-    parallel = report.get("parallel_runner")
-    if parallel:
-        print(
-            f"  parallel_day[{parallel['workers']} workers]: "
-            f"{parallel['simulated_speedup']}x simulated day speedup, "
-            f"{parallel['wall_speedup']}x host wall-clock "
-            f"({parallel['host_cpu_count']} core(s) available), "
-            f"identical={parallel['results_identical']}"
-        )
-        if not parallel["results_identical"]:
-            print(
-                "ERROR: sharded run diverged from the serial run "
-                "(results_identical=false) — determinism regression",
-                file=sys.stderr,
-            )
-            failed = True
-    return 1 if failed else 0
+    problems = validate_report(report)
+    for problem in problems:
+        print(f"ERROR: {problem}", file=sys.stderr)
+    print(f"wrote {args.output} ({len(problems)} gate problem(s))")
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

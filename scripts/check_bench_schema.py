@@ -1,15 +1,19 @@
 #!/usr/bin/env python
-"""Validate the structure of ``BENCH_crypto.json`` (part of `make docs-check`).
+"""The gates of ``BENCH_crypto.json`` — the only definition of them.
 
 The benchmark report is the repo's PR-over-PR performance ledger; several
-documents and the roadmap reference its sections by name.  This check keeps
-a regenerated file honest:
+documents and the roadmap reference its sections by name.  Every
+certificate and floor it must hold is written here once, in
+:func:`validate_report`, and applied twice: by
+``benchmarks/run_crypto_bench.py`` to the report it just built (the run
+exits non-zero on any problem), and by this script to the committed file
+(part of ``make docs-check``).  The gates:
 
 * top-level keys: ``scale``, ``machine``, ``datetime``, ``benchmarks``,
   ``speedups`` — with every benchmark entry carrying ``mean_s`` /
   ``stddev_s`` / ``rounds``;
-* the ``parallel_runner`` section (when present) must certify
-  ``results_identical`` and carry both clocks;
+* the ``parallel_runner`` section must certify ``results_identical`` and
+  carry both clocks;
 * the ``comparison`` section (added with the offline garbled-comparison
   pipeline) must exist, certify ``outcomes_match`` per bit width, and show
   an online simulated-seconds reduction of at least the documented 3x;
@@ -19,12 +23,9 @@ a regenerated file honest:
   and show halfgates beating classic by at least 1.8x on garbled-table
   bytes and 1.5x on measured garble wall-clock (the measured values are
   ~2.6x and ~2x);
-* the ``multiexp`` section (added with the multi-exponentiation toolbox)
-  must exist, certify ``matches_pow`` for every primitive against the
-  builtin ``pow`` oracle, and name the active bigint backend — speedups
-  are recorded but deliberately not gated (pure-Python windowing cannot
-  beat the C builtin on one exponentiation; the wins are amortization
-  and, when installed, a faster backend);
+* the ``multiexp`` section must exist and certify ``matches_pow`` for the
+  fixed-base comb against the builtin ``pow`` oracle — its speedup is
+  recorded but deliberately not gated;
 * the ``aggregation_topology`` section (added with the topology
   subsystem) must exist, certify ``sums_identical`` per requester count
   and shard invariance per topology at workers 1/2/4, and show the
@@ -143,8 +144,6 @@ _GARBLING_WIDTH_REQUIRED = (
     "garble_time_reduction",
 )
 
-_MULTIEXP_PRIMITIVES = ("fixed_window", "fixed_base_comb", "simultaneous")
-
 _MULTIEXP_ENTRY_REQUIRED = (
     "matches_pow",
     "pow_seconds",
@@ -181,8 +180,9 @@ def _check_benchmarks(report: dict, problems: list) -> None:
 
 def _check_parallel(report: dict, problems: list) -> None:
     parallel = report.get("parallel_runner")
-    if parallel is None:
-        return  # optional (--skip-parallel runs)
+    if not isinstance(parallel, dict) or not parallel:
+        problems.append("missing or empty 'parallel_runner' section")
+        return
     for key in _PARALLEL_REQUIRED:
         if key not in parallel:
             problems.append(f"parallel_runner lacks {key!r}")
@@ -278,18 +278,15 @@ def _check_multiexp(report: dict, problems: list) -> None:
     if not isinstance(section, dict) or not section:
         problems.append("missing or empty 'multiexp' section")
         return
-    if not isinstance(section.get("backend"), str) or not section.get("backend"):
-        problems.append("multiexp lacks a non-empty 'backend' identity string")
-    for name in _MULTIEXP_PRIMITIVES:
-        entry = section.get(name)
-        if not isinstance(entry, dict):
-            problems.append(f"multiexp lacks the {name!r} primitive entry")
-            continue
-        for key in _MULTIEXP_ENTRY_REQUIRED:
-            if key not in entry:
-                problems.append(f"multiexp[{name!r}] lacks {key!r}")
-        if entry.get("matches_pow") is not True:
-            problems.append(f"multiexp[{name!r}].matches_pow is not true")
+    entry = section.get("fixed_base_comb")
+    if not isinstance(entry, dict):
+        problems.append("multiexp lacks the 'fixed_base_comb' entry")
+        return
+    for key in _MULTIEXP_ENTRY_REQUIRED:
+        if key not in entry:
+            problems.append(f"multiexp['fixed_base_comb'] lacks {key!r}")
+    if entry.get("matches_pow") is not True:
+        problems.append("multiexp['fixed_base_comb'].matches_pow is not true")
 
 
 def _check_aggregation_topology(report: dict, problems: list) -> None:
@@ -374,7 +371,7 @@ def _check_session_reuse(report: dict, problems: list) -> None:
 
 
 #: Minimum pipelined-vs-unpipelined simulated day speedup, gated only at
-#: days of at least MIN_PIPELINE_WINDOWS windows (matches the bench gate).
+#: days of at least MIN_PIPELINE_WINDOWS windows.
 MIN_PIPELINE_SPEEDUP = 1.3
 MIN_PIPELINE_WINDOWS = 6
 
@@ -595,14 +592,9 @@ def _check_planner(report: dict, problems: list) -> None:
         )
 
 
-def validate(path: Path = BENCH_PATH) -> list:
+def validate_report(report: dict) -> list:
+    """Every problem with one benchmark report; ``[]`` means all gates hold."""
     problems: list = []
-    if not path.exists():
-        return [f"missing {path.name}"]
-    try:
-        report = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        return [f"{path.name} is not valid JSON: {exc}"]
     for key in ("scale", "machine", "datetime", "speedups"):
         if key not in report:
             problems.append(f"missing top-level key {key!r}")
@@ -617,6 +609,17 @@ def validate(path: Path = BENCH_PATH) -> list:
     _check_chaos(report, problems)
     _check_planner(report, problems)
     return problems
+
+
+def validate(path: Path = BENCH_PATH) -> list:
+    """Load and validate the report at ``path``; an unreadable file is one problem."""
+    if not path.exists():
+        return [f"missing {path.name}"]
+    try:
+        report = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        return [f"{path.name} is not valid JSON: {exc}"]
+    return validate_report(report)
 
 
 def main() -> int:

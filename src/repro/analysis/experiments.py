@@ -341,7 +341,6 @@ def experiment_parallel_day(
     key_size: int = 1024,
     window_count: int = FULL_DAY_WINDOWS,
     seed: int = DEFAULT_SEED,
-    background_refill: bool = False,
     aggregation_topology: str = "chain",
 ) -> ParallelDayObservation:
     """Run the same sampled day serially and sharded; compare and time both.
@@ -371,11 +370,7 @@ def experiment_parallel_day(
         dataset, windows, home_count=home_count, workers=1
     )
     parallel = build_engine().run_windows_report(
-        dataset,
-        windows,
-        home_count=home_count,
-        workers=workers,
-        background_refill=background_refill,
+        dataset, windows, home_count=home_count, workers=workers
     )
     identical = serial.identical_to(parallel)
     return ParallelDayObservation(

@@ -217,12 +217,8 @@ class KeyRing:
     determinism.
     """
 
-    def __init__(self, config: ProtocolConfig, rng: Optional[random.Random] = None) -> None:
+    def __init__(self, config: ProtocolConfig) -> None:
         self._config = config
-        #: legacy parameter, retained for call-site compatibility but no
-        #: longer consumed: keys are identity-derived and randomizers come
-        #: from the system CSPRNG (see the class docstring).
-        self._rng = rng
         self._per_agent: Dict[str, PaillierKeyPair] = {}
         self._pool: Dict[int, PaillierKeyPair] = {}
         #: offline randomizer pools, one per distinct public key (keyed by
@@ -239,12 +235,8 @@ class KeyRing:
         digest = hashlib.sha256(agent_id.encode()).digest()
         return int.from_bytes(digest[:8], "big") % self._config.key_pool_size
 
-    def keypair_for(self, agent_id: str, agent_index: int = 0) -> PaillierKeyPair:
-        """Return the (cached) key pair owned by one agent.
-
-        ``agent_index`` is kept for API compatibility; key assignment now
-        depends only on ``agent_id`` (see the class docstring).
-        """
+    def keypair_for(self, agent_id: str) -> PaillierKeyPair:
+        """Return the (cached) key pair owned by one agent."""
         if agent_id in self._per_agent:
             return self._per_agent[agent_id]
         seed = self._config.seed
@@ -410,7 +402,7 @@ class ProtocolContext:
         # replay bit-identically; key material never flows from this stream —
         # KeyRing derivation is SHA-256-based and pool material is CSPRNG-only.
         self.rng = rng or random.Random((config.seed, coalitions.window).__hash__())
-        self.keyring = keyring or KeyRing(config, self.rng)
+        self.keyring = keyring or KeyRing(config)
         #: the aggregation topology Protocols 2-4 collect encrypted sums
         #: along (resolved once so a typo fails at context construction).
         self.topology: AggregationTopology = resolve_topology(config.aggregation_topology)
@@ -429,7 +421,7 @@ class ProtocolContext:
     def _register_agents(self) -> None:
         seller_ids = set(self.coalitions.seller_ids)
         ordered = list(self.coalitions.sellers) + list(self.coalitions.buyers)
-        for index, state in enumerate(ordered):
+        for state in ordered:
             party_id = state.agent_id
             try:
                 party = self.network.party(party_id)
@@ -441,7 +433,7 @@ class ProtocolContext:
             runtime = AgentRuntime(
                 state=state,
                 party=party,
-                keypair=self.keyring.keypair_for(party_id, index),
+                keypair=self.keyring.keypair_for(party_id),
                 nonce=self.rng.getrandbits(NONCE_BITS),
             )
             self._by_id[party_id] = runtime

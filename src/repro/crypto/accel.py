@@ -56,31 +56,14 @@ agent's own pool), the precomputation itself runs ~2x faster via CRT:
 exponents reduced modulo ``lambda(p^2) = p*(p-1)`` (resp. ``q*(q-1)``),
 then recombined with Garner's formula.
 
-Multi-exponentiation toolbox
-----------------------------
+Fixed-base exponentiation
+-------------------------
 
-PR 6 adds the remaining exponentiation levers:
-
-* :func:`fixed_window_powmod` — fixed 2^w-ary windowing with explicit
-  table precomputation, ``pow()``-exact including negative exponents (via
-  modular inverse) and zero.  CPython's builtin ``pow`` already windows in
-  C, so this is the *reference implementation* of the recoding the
-  fixed-base and simultaneous paths build on, not a drop-in speedup.
-* :class:`FixedBaseTable` — Brickell–Gordon–McCurley–Wilson fixed-base
-  comb: when one base is raised to many exponents (Protocol 4's ratio
-  phase raises the *same* aggregate ciphertext to one multiplier per
-  requester), precomputing ``base^(d·2^(w·i))`` makes every subsequent
-  exponentiation squaring-free (~t/w mulmods for t-bit exponents).
-* :func:`simultaneous_powmod` — Straus/Shamir interleaving for products
-  ``Π b_i^{e_i} mod m``: one shared squaring chain for the whole batch
-  plus one table lookup per non-zero digit column.
-* :func:`backend` / :func:`set_backend` — the feature-gated fast-bigint
-  seam.  When ``gmpy2`` is importable its ``powmod`` is used for every
-  modular exponentiation routed through the seam (pool refills, CRT
-  halves, Paillier encrypt/scalar-multiply); otherwise the pure-Python
-  backend (builtin ``pow``) is used.  The container for this repo has no
-  gmpy2, so the dispatch is exercised with a mock backend in tests and the
-  bench records which backend produced its numbers.
+:class:`FixedBaseTable` is a Brickell–Gordon–McCurley–Wilson fixed-base
+comb: when one base is raised to many exponents (Protocol 4's ratio phase
+raises the *same* aggregate ciphertext to one multiplier per requester),
+precomputing ``base^(d·2^(w·i))`` makes every subsequent exponentiation
+squaring-free (~t/w mulmods for t-bit exponents).
 """
 
 from __future__ import annotations
@@ -99,99 +82,8 @@ from .paillier import (
 __all__ = [
     "RandomizerPool",
     "precompute_obfuscator",
-    "fixed_window_powmod",
     "FixedBaseTable",
-    "simultaneous_powmod",
-    "backend",
-    "set_backend",
 ]
-
-
-# -- fast-bigint backend seam ------------------------------------------------------------
-
-
-class _PurePythonBackend:
-    """Default backend: CPython's builtin ``pow`` (C sliding-window)."""
-
-    name = "python"
-
-    @staticmethod
-    def powmod(base: int, exponent: int, modulus: int) -> int:
-        return pow(base, exponent, modulus)
-
-
-def _detect_backend() -> object:
-    """Prefer gmpy2 when present; fall back to pure Python."""
-    try:  # pragma: no cover - the repro container ships no gmpy2
-        import gmpy2  # type: ignore
-
-        class _Gmpy2Backend:
-            name = "gmpy2"
-
-            @staticmethod
-            def powmod(base: int, exponent: int, modulus: int) -> int:
-                return int(gmpy2.powmod(base, exponent, modulus))
-
-        return _Gmpy2Backend()
-    except ImportError:
-        return _PurePythonBackend()
-
-
-_backend: Optional[object] = None
-
-
-def backend() -> object:
-    """The active bigint backend (an object with ``name`` and ``powmod``)."""
-    global _backend
-    if _backend is None:
-        _backend = _detect_backend()
-    return _backend
-
-
-def set_backend(new_backend: Optional[object]) -> object:
-    """Install a bigint backend (tests/mocks); ``None`` re-runs autodetect.
-
-    Returns the previously active backend so callers can restore it.
-    """
-    global _backend
-    previous = backend()
-    _backend = new_backend if new_backend is not None else _detect_backend()
-    return previous
-
-
-# -- multi-exponentiation ----------------------------------------------------------------
-
-
-def fixed_window_powmod(base: int, exponent: int, modulus: int, window_bits: int = 4) -> int:
-    """``base^exponent mod modulus`` via fixed 2^w-ary windowing.
-
-    Semantics match the 3-argument builtin ``pow`` exactly: ``exponent == 0``
-    returns ``1 % modulus`` and a negative exponent inverts the base modulo
-    ``modulus`` first (raising ``ValueError`` when no inverse exists).
-    """
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    if window_bits < 1:
-        raise ValueError("window_bits must be >= 1")
-    if exponent < 0:
-        base = pow(base, -1, modulus)
-        exponent = -exponent
-    base %= modulus
-    if exponent == 0:
-        return 1 % modulus
-    size = 1 << window_bits
-    table = [1 % modulus] * size
-    for digit in range(1, size):
-        table[digit] = table[digit - 1] * base % modulus
-    windows = (exponent.bit_length() + window_bits - 1) // window_bits
-    result = 1 % modulus
-    for position in range(windows - 1, -1, -1):
-        for _ in range(window_bits):
-            result = result * result % modulus
-        digit = (exponent >> (position * window_bits)) & (size - 1)
-        if digit:
-            result = result * table[digit] % modulus
-    return result
 
 
 class FixedBaseTable:
@@ -262,57 +154,6 @@ class FixedBaseTable:
         return result
 
 
-def simultaneous_powmod(
-    bases: Sequence[int],
-    exponents: Sequence[int],
-    modulus: int,
-    chunk_size: int = 4,
-) -> int:
-    """``Π bases[i]^exponents[i] mod modulus`` via Straus/Shamir interleaving.
-
-    All bases in a chunk share one squaring chain: per exponent bit the
-    product is squared once and multiplied by a precomputed subset product
-    selected by that bit column — versus one full squaring chain *per base*
-    for the naive ``pow``-and-multiply.  Batches larger than ``chunk_size``
-    are split so subset tables stay at ``2^chunk_size`` entries.
-
-    Negative exponents invert their base first (``pow`` semantics).
-    """
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    if len(bases) != len(exponents):
-        raise ValueError("bases and exponents must have equal length")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    normalized: List[tuple[int, int]] = []
-    for base, exponent in zip(bases, exponents):
-        if exponent < 0:
-            base = pow(base, -1, modulus)
-            exponent = -exponent
-        normalized.append((base % modulus, exponent))
-    result = 1 % modulus
-    for start in range(0, len(normalized), chunk_size):
-        chunk = normalized[start : start + chunk_size]
-        k = len(chunk)
-        table = [1 % modulus] * (1 << k)
-        for i, (base, _) in enumerate(chunk):
-            low = 1 << i
-            for subset in range(low, low << 1):
-                table[subset] = table[subset ^ low] * base % modulus
-        top = max(exponent.bit_length() for _, exponent in chunk)
-        partial = 1 % modulus
-        for bit in range(top - 1, -1, -1):
-            partial = partial * partial % modulus
-            column = 0
-            for i, (_, exponent) in enumerate(chunk):
-                if (exponent >> bit) & 1:
-                    column |= 1 << i
-            if column:
-                partial = partial * table[column] % modulus
-        result = result * partial % modulus
-    return result
-
-
 class _CrtObfuscatorConstants:
     """Precomputed constants for the owner-side CRT obfuscator path."""
 
@@ -329,9 +170,8 @@ class _CrtObfuscatorConstants:
 
     def obfuscate(self, r: int) -> int:
         """``r^n mod n^2`` via two half-width pows + Garner recombination."""
-        powmod = backend().powmod
-        x_p = powmod(r % self.p_sq, self.exp_p, self.p_sq)
-        x_q = powmod(r % self.q_sq, self.exp_q, self.q_sq)
+        x_p = pow(r % self.p_sq, self.exp_p, self.p_sq)
+        x_q = pow(r % self.q_sq, self.exp_q, self.q_sq)
         return x_q + self.q_sq * ((x_p - x_q) * self.q_sq_inv % self.p_sq)
 
 
@@ -348,7 +188,7 @@ def precompute_obfuscator(
     exponentiation.
     """
     if private_key is None:
-        return backend().powmod(r, public_key.n, public_key.n_squared)
+        return pow(r, public_key.n, public_key.n_squared)
     return _CrtObfuscatorConstants(public_key, private_key).obfuscate(r)
 
 
@@ -438,7 +278,7 @@ class RandomizerPool:
 
     def _obfuscate(self, r: int) -> int:
         if self._crt is None:
-            return backend().powmod(r, self.public_key.n, self.public_key.n_squared)
+            return pow(r, self.public_key.n, self.public_key.n_squared)
         return self._crt.obfuscate(r)
 
     def _fresh(self) -> int:

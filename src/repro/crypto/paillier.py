@@ -82,18 +82,6 @@ class PaillierError(Exception):
     """Raised for malformed Paillier operations (wrong key, bad ciphertext)."""
 
 
-def _powmod(base: int, exponent: int, modulus: int) -> int:
-    """Modular exponentiation through the accel backend seam.
-
-    Imported lazily because :mod:`repro.crypto.accel` imports this module;
-    the pure-Python backend is the builtin ``pow``, so results are identical
-    whichever backend is active.
-    """
-    from .accel import backend
-
-    return backend().powmod(base, exponent, modulus)
-
-
 @dataclass(frozen=True)
 class PaillierPublicKey:
     """Public half of a Paillier key pair.
@@ -179,7 +167,7 @@ class PaillierPublicKey:
         if strict and math.gcd(r, n) != 1:
             raise PaillierError("randomizer shares a factor with the modulus")
         # g = n + 1  =>  g^m = 1 + m*n (mod n^2)
-        c = ((1 + m * n) % n_sq) * _powmod(r, n, n_sq) % n_sq
+        c = ((1 + m * n) % n_sq) * pow(r, n, n_sq) % n_sq
         return PaillierCiphertext(value=c, public_key=self)
 
     def encrypt_many(
@@ -378,7 +366,7 @@ class PaillierCiphertext:
         n = self.public_key.n
         n_sq = self.public_key.n_squared
         encoded = scalar % n
-        return PaillierCiphertext(_powmod(self.value, encoded, n_sq), self.public_key)
+        return PaillierCiphertext(pow(self.value, encoded, n_sq), self.public_key)
 
     def __add__(self, other):
         if isinstance(other, PaillierCiphertext):

@@ -1,9 +1,7 @@
 """Tests for the Paillier acceleration layer.
 
-Covers the CRT + randomizer-pool offline split, the multi-exponentiation
-toolbox (fixed-window, fixed-base comb, Straus simultaneous) against the
-builtin ``pow`` oracle, and the feature-gated bigint backend seam (mocked —
-the container ships no gmpy2).
+Covers the CRT + randomizer-pool offline split and the fixed-base comb
+against the builtin ``pow`` oracle.
 """
 
 import random
@@ -15,11 +13,7 @@ from hypothesis import strategies as st
 from repro.crypto.accel import (
     FixedBaseTable,
     RandomizerPool,
-    backend,
-    fixed_window_powmod,
     precompute_obfuscator,
-    set_backend,
-    simultaneous_powmod,
 )
 from repro.crypto.paillier import generate_keypair, homomorphic_sum
 
@@ -114,37 +108,7 @@ def test_batched_homomorphic_sum_matches_sequential(pool_keypair):
         assert private.decrypt(total) == sum(values)
 
 
-# -- multi-exponentiation toolbox ------------------------------------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    base=st.integers(min_value=0, max_value=2**96),
-    exponent=st.integers(min_value=-(2**64), max_value=2**64),
-    modulus=st.integers(min_value=1, max_value=2**96),
-    window_bits=st.integers(min_value=1, max_value=6),
-)
-def test_fixed_window_matches_pow(base, exponent, modulus, window_bits):
-    try:
-        expected = pow(base, exponent, modulus)
-    except ValueError:  # negative exponent, base not invertible
-        with pytest.raises(ValueError):
-            fixed_window_powmod(base, exponent, modulus, window_bits=window_bits)
-        return
-    assert fixed_window_powmod(base, exponent, modulus, window_bits=window_bits) == expected
-
-
-def test_fixed_window_edge_cases():
-    assert fixed_window_powmod(5, 0, 7) == 1
-    assert fixed_window_powmod(5, 1, 7) == 5
-    assert fixed_window_powmod(5, 0, 1) == 0  # pow(5, 0, 1) == 0
-    assert fixed_window_powmod(0, 5, 7) == 0
-    # Negative exponents invert like pow().
-    assert fixed_window_powmod(3, -4, 7) == pow(3, -4, 7)
-    with pytest.raises(ValueError):
-        fixed_window_powmod(2, 3, 0)
-    with pytest.raises(ValueError):
-        fixed_window_powmod(2, 3, 17, window_bits=0)
+# -- fixed-base comb -------------------------------------------------------------------
 
 
 @settings(max_examples=30, deadline=None)
@@ -188,87 +152,3 @@ def test_fixed_base_table_matches_multiply_plaintext(pool_keypair):
     )
     for scalar, enc in zip(scalars, encoded):
         assert table.powmod(enc) == ciphertext.multiply_plaintext(scalar).value
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    pairs=st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=2**64),
-            st.integers(min_value=0, max_value=2**48),
-        ),
-        min_size=0,
-        max_size=9,
-    ),
-    modulus=st.integers(min_value=1, max_value=2**64),
-    chunk_size=st.integers(min_value=1, max_value=5),
-)
-def test_simultaneous_matches_pow_product(pairs, modulus, chunk_size):
-    bases = [b for b, _ in pairs]
-    exponents = [e for _, e in pairs]
-    expected = 1 % modulus
-    for b, e in pairs:
-        expected = expected * pow(b, e, modulus) % modulus
-    assert simultaneous_powmod(bases, exponents, modulus, chunk_size=chunk_size) == expected
-
-
-def test_simultaneous_validation_and_negatives():
-    assert simultaneous_powmod([], [], 17) == 1
-    assert simultaneous_powmod([3], [-4], 7) == pow(3, -4, 7)
-    with pytest.raises(ValueError):
-        simultaneous_powmod([2, 3], [1], 17)
-    with pytest.raises(ValueError):
-        simultaneous_powmod([2], [1], 0)
-    with pytest.raises(ValueError):
-        simultaneous_powmod([2], [1], 17, chunk_size=0)
-
-
-# -- bigint backend seam ---------------------------------------------------------------
-
-
-class _CountingBackend:
-    """Mock fast-bigint backend (gmpy2-shaped): counts powmod dispatches."""
-
-    name = "counting-mock"
-
-    def __init__(self):
-        self.calls = 0
-
-    def powmod(self, base, exponent, modulus):
-        self.calls += 1
-        return pow(base, exponent, modulus)
-
-
-def test_backend_defaults_to_pure_python():
-    # The repro container has no gmpy2, so autodetection lands on pure Python.
-    assert backend().name == "python"
-    assert backend().powmod(3, 20, 1000) == pow(3, 20, 1000)
-
-
-def test_mock_backend_receives_obfuscator_dispatch(pool_keypair):
-    public, private = pool_keypair.public_key, pool_keypair.private_key
-    mock = _CountingBackend()
-    previous = set_backend(mock)
-    try:
-        # Public path, CRT path, pool refill and ciphertext scalar multiply
-        # all route through the seam.
-        assert precompute_obfuscator(public, 12345) == pow(12345, public.n, public.n_squared)
-        assert precompute_obfuscator(public, 12345, private_key=private) == pow(
-            12345, public.n, public.n_squared
-        )
-        pool = RandomizerPool(public, random.Random(9), private_key=private)
-        pool.warm(2)
-        ciphertext = pool.encrypt(7)
-        assert private.decrypt(ciphertext.multiply_plaintext(6)) == 42
-        assert mock.calls >= 5
-    finally:
-        set_backend(previous)
-    assert backend() is previous
-
-
-def test_set_backend_none_reautodetects():
-    previous = set_backend(_CountingBackend())
-    set_backend(None)
-    assert backend().name == "python"
-    set_backend(previous)
-    assert backend().name == "python"

@@ -115,6 +115,11 @@ MUTATIONS = [
         "lacks 'mean_s'",
     ),
     (
+        "parallel-section-missing",
+        lambda r: r.pop("parallel_runner"),
+        "missing or empty 'parallel_runner' section",
+    ),
+    (
         "parallel-identity-false",
         lambda r: r["parallel_runner"].update(results_identical=False),
         "parallel_runner.results_identical is not true",
@@ -161,13 +166,8 @@ MUTATIONS = [
     ),
     (
         "multiexp-oracle-false",
-        lambda r: r["multiexp"]["fixed_window"].update(matches_pow=False),
+        lambda r: r["multiexp"]["fixed_base_comb"].update(matches_pow=False),
         "matches_pow is not true",
-    ),
-    (
-        "multiexp-backend-missing",
-        lambda r: r["multiexp"].pop("backend"),
-        "backend",
     ),
     (
         "topology-sums-false",
