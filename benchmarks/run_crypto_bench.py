@@ -1,39 +1,15 @@
 #!/usr/bin/env python
-"""Run the crypto micro-benchmarks and distill them into ``BENCH_crypto.json``.
+"""Regenerate ``BENCH_crypto.json``: the micro-benchmarks, then every section.
 
-Executes ``benchmarks/test_crypto_micro.py`` under pytest-benchmark, then
-runs one experiment per report section and writes the compact JSON report
-that tracks the perf trajectory PR over PR:
-
-* ``speedups`` — pooled vs. fresh encrypt, CRT vs. textbook decrypt and
-  prepared vs. inline garbled comparison, from the micro-benchmarks;
-* ``comparison`` — the offline garbled-comparison pipeline on the
-  simulated and wall clocks, with an outcome-identity certificate;
-* ``garbling`` — classic vs. half-gates table bytes and garble wall-clock,
-  with outcome, sharding and cross-scheme economics certificates;
-* ``multiexp`` — the fixed-base comb (Protocol 4's ratio-phase shape)
-  certified against and timed next to the builtin ``pow``;
-* ``aggregation_topology`` — chain vs. tree encrypted-sum aggregation,
-  with identity and sharding certificates;
-* ``session_reuse`` — window- vs. day-scoped sessions, with economics,
-  sharding and socket-transport certificates;
-* ``pipelining`` — the window-pipelined day, with bit-identity and
-  chaos-retry certificates;
-* ``chaos`` — the fault-injection survival matrix and the fail-closed
-  tamper certificate;
-* ``planner`` — the deployment-planner sweep with its oracle and
-  executed-day certificates;
-* ``parallel_runner`` — a sampled day run serially and sharded across
-  ``--workers`` processes, with the bit-identity certificate.
-
-The script holds no gate of its own.  It checks the report it just built
-with ``validate_report`` from ``scripts/check_bench_schema.py`` — the one
-definition of every certificate and floor, which ``make docs-check`` also
-applies to the committed file — prints each problem, writes the report
-either way and exits non-zero if any gate fails.  Every scale enforces the
-floors as well as the certificates, the ``smoke`` run of ``make ci``
-included (the pipelining floor applies from 6 sampled windows).  See
-``docs/BENCHMARKS.md`` for every field.
+A generic driver: it runs ``benchmarks/test_crypto_micro.py`` under
+pytest-benchmark and distills the stats and ``speedups``, then observes and
+serializes every section declared in ``benchmarks/bench_sections.py``, in
+order, at the chosen scale.  It holds no gate of its own: it checks the
+report it just built with ``validate_report`` from
+``scripts/check_bench_schema.py``, prints each problem, writes the report
+either way and exits non-zero if any gate fails — at every scale, the
+``smoke`` run of ``make ci`` included.  See ``docs/BENCHMARKS.md`` for
+every field.
 
 Usage::
 
@@ -59,18 +35,10 @@ from typing import List, Optional
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "scripts"))
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
+import bench_sections  # noqa: E402
 from check_bench_schema import validate_report  # noqa: E402
-
-#: (home_count, sampled windows, crypto key bits) per scale for the
-#: parallel-day run; kept small — the point is the sharding behavior, not
-#: the absolute crypto cost.
-PARALLEL_SCALES = {
-    "smoke": (12, 8, 128),
-    "quick": (16, 8, 128),
-    "default": (24, 12, 256),
-    "full": (48, 24, 256),
-}
 
 #: (after, before) benchmark pairs whose mean-time ratio we report.
 SPEEDUP_PAIRS = {
@@ -80,86 +48,6 @@ SPEEDUP_PAIRS = {
         "test_garbled_comparison_pooled_online",
         "test_garbled_secure_comparison",
     ),
-}
-
-#: comparator bit widths covered by the ``comparison`` report section.
-COMPARISON_BIT_WIDTHS = (32, 64)
-#: random operand pairs per width for the outcome-identity certificate.
-COMPARISON_SAMPLES = 24
-
-#: garbling schemes compared head to head by the ``garbling`` section.
-GARBLING_SCHEMES_COMPARED = ("classic", "halfgates")
-#: repeated garbles per (width, scheme) behind the wall-clock ratio.
-GARBLING_TIMING_ROUNDS = 40
-#: random operand pairs per width for the cross-scheme outcome certificate.
-GARBLING_SAMPLES = 16
-#: (home_count, sampled windows) per scale for the scheme-invariance day.
-GARBLING_DAY_SCALES = {
-    "smoke": (8, 2),
-    "quick": (10, 3),
-    "default": (12, 4),
-    "full": (16, 6),
-}
-#: worker counts of the per-scheme sharding certificate.
-GARBLING_WORKER_COUNTS = (1, 2, 4)
-
-#: modulus size of the multiexp certificates (Paillier n² at the 256-bit
-#: bench key size is 1024 bits; 512 keeps the oracle comparisons fast).
-MULTIEXP_MODULUS_BITS = 512
-#: small-exponent batch shape of the fixed-base comb certificate — the
-#: Protocol 4 ratio phase raises ONE ciphertext to many small multipliers.
-MULTIEXP_SMALL_EXPONENT_BITS = 64
-MULTIEXP_BATCH = 16
-
-#: requester counts covered by the ``aggregation_topology`` section.
-TOPOLOGY_REQUESTER_COUNTS = (8, 32, 128)
-#: topologies swept by the ``aggregation_topology`` section; the chain is
-#: the identity baseline, ``tree:2`` the reported speedup topology.
-TOPOLOGY_NAMES = ("chain", "tree:2", "tree:4")
-#: worker counts of the per-topology sharding certificate.
-TOPOLOGY_WORKER_COUNTS = (1, 2, 4)
-
-#: (home_count, sampled windows) per scale for the session-reuse day; the
-#: speedup is *largest* at small samples (the fixed setup dominates), so
-#: small scales still demonstrate the effect.
-SESSION_SCALES = {
-    "smoke": (10, 4),
-    "quick": (12, 6),
-    "default": (12, 6),
-    "full": (16, 10),
-}
-#: worker counts of the day-scope sharding certificate.
-SESSION_WORKER_COUNTS = (1, 2, 4)
-
-#: (home_count, sampled windows) per scale for the pipelined day — shares
-#: the session-reuse scales (both are day-scope experiments over the same
-#: sampled day shape).
-PIPELINE_SCALES = SESSION_SCALES
-#: worker counts of the pipelining bit-identity certificate.
-PIPELINE_WORKER_COUNTS = (1, 2, 4)
-
-#: (home_count, sampled windows) per scale for the chaos survival matrix —
-#: every cell runs the whole sampled day, so the matrix dominates the
-#: section's cost and stays deliberately small.
-CHAOS_SCALES = {
-    "smoke": (8, 2),
-    "quick": (10, 2),
-    "default": (10, 3),
-    "full": (12, 4),
-}
-#: worker counts of the chaos survival matrix.
-CHAOS_WORKER_COUNTS = (1, 2, 4)
-#: the chaos section's fault-plan seed (fixed: the report must be
-#: reproducible run over run).
-CHAOS_SEED = 20
-
-#: (home_count, sample_count) of the planner section's executed day —
-#: the planned vs. naive end-to-end economics-identity certificate.
-PLANNER_SCALES = {
-    "smoke": (8, 2),
-    "quick": (10, 3),
-    "default": (10, 4),
-    "full": (12, 6),
 }
 
 
@@ -197,8 +85,8 @@ def distill(raw: dict, scale: str) -> dict:
         for param, before_stats in benches.get(before, {}).items():
             after_stats = benches.get(after, {}).get(param)
             if after_stats and after_stats["mean_s"] > 0:
-                per_param[param] = round(
-                    before_stats["mean_s"] / after_stats["mean_s"], 2
+                per_param[param] = bench_sections.round_float(
+                    before_stats["mean_s"] / after_stats["mean_s"]
                 )
         if per_param:
             speedups[label] = per_param
@@ -208,484 +96,6 @@ def distill(raw: dict, scale: str) -> dict:
         "datetime": raw.get("datetime"),
         "benchmarks": benches,
         "speedups": speedups,
-    }
-
-
-def run_comparison_section(benches: dict) -> dict:
-    """Build the ``comparison`` report section.
-
-    Simulated seconds come from the calibrated cost model (the repo's
-    canonical runtime metric); wall times from the distilled micro
-    benchmarks; ``outcomes_match`` certifies over random operand pairs
-    that the pooled path, the classic path and the plaintext comparison
-    all agree.
-    """
-    import random
-
-    from repro.crypto.circuits import build_greater_than_circuit
-    from repro.crypto.gc_pool import ComparisonPool
-    from repro.crypto.otext import DEFAULT_KAPPA
-    from repro.crypto.secure_comparison import secure_greater_than
-    from repro.net.costmodel import CryptoCostModel
-
-    model = CryptoCostModel()
-    section: dict = {}
-    for bit_width in COMPARISON_BIT_WIDTHS:
-        gates = build_greater_than_circuit(bit_width).and_gate_count
-        before = model.comparison_seconds(gates, bit_width)
-        after = model.comparison_seconds(gates, bit_width, pooled=True)
-
-        pool = ComparisonPool(bit_width)
-        pool.warm(COMPARISON_SAMPLES)
-        rng = random.Random(bit_width * 7919)
-        matches = True
-        for _ in range(COMPARISON_SAMPLES):
-            a = rng.randrange(0, 1 << bit_width)
-            b = rng.randrange(0, 1 << bit_width)
-            instance = pool.take()
-            pooled_result = instance.evaluate(a, b).result
-            classic_result = secure_greater_than(
-                a, b, bit_width=bit_width, rng=random.Random(a ^ b)
-            ).result
-            if not (pooled_result == classic_result == (a > b)):
-                matches = False
-                break
-
-        entry = {
-            "and_gate_count": gates,
-            "ot_count": bit_width,
-            "base_ot_count": DEFAULT_KAPPA,
-            "simulated_online_seconds_before": round(before, 9),
-            "simulated_online_seconds_after": round(after, 9),
-            "simulated_online_reduction": round(before / after, 2),
-            "simulated_offline_seconds_per_instance": round(
-                model.prepared_comparison_seconds(gates), 9
-            ),
-            "simulated_offline_seconds_per_session": round(
-                model.base_ot_session_seconds(DEFAULT_KAPPA), 9
-            ),
-            "outcomes_match": matches,
-            "samples": COMPARISON_SAMPLES,
-        }
-        param = str(bit_width)
-        pooled_wall = benches.get("test_garbled_comparison_pooled_online", {}).get(param)
-        classic_wall = benches.get("test_garbled_secure_comparison", {}).get(param)
-        if pooled_wall and classic_wall and pooled_wall["mean_s"] > 0:
-            entry["wall_online_seconds_before"] = classic_wall["mean_s"]
-            entry["wall_online_seconds_after"] = pooled_wall["mean_s"]
-            entry["wall_online_reduction"] = round(
-                classic_wall["mean_s"] / pooled_wall["mean_s"], 2
-            )
-        section[param] = entry
-    return section
-
-
-def run_garbling_section(scale: str) -> dict:
-    """Build the ``garbling`` report section.
-
-    Per comparator width both schemes lower + garble the same circuit:
-    ``table_bytes`` comes from the wire-format ``serialized_size`` (free
-    gates ship nothing under halfgates), ``garble_wall_seconds`` is a
-    measured mean over repeated garbles, and the gate histograms document
-    how much of the lowered circuit is XOR-family (free).  Certificates:
-
-    * **outcomes** — fresh pools of both schemes must agree with the
-      plaintext comparison on random operands (labels and tables
-      necessarily differ between schemes; the *outcome* is the invariant);
-    * **sharding** — each scheme's sampled trading day must stay
-      bit-identical across worker counts, and the schemes must stay
-      economically identical to each other (same trades and prices —
-      byte-level identity across schemes is impossible since halfgates
-      ships fewer table bytes).
-    """
-    import random
-    import time
-
-    from repro.analysis.experiments import experiment_scheme_shard_invariance
-    from repro.crypto.circuits import build_greater_than_circuit
-    from repro.crypto.garbled import get_scheme
-    from repro.crypto.gc_pool import ComparisonPool
-
-    widths_section: dict = {}
-    for bit_width in COMPARISON_BIT_WIDTHS:
-        base = build_greater_than_circuit(bit_width)
-        per_scheme: dict = {}
-        for name in GARBLING_SCHEMES_COMPARED:
-            scheme = get_scheme(name)
-            circuit = scheme.lower(base)
-            rng = random.Random(bit_width)
-            scheme.garble(circuit, rng=rng)  # warm-up (hash setup, caches)
-            start = time.perf_counter()
-            for _ in range(GARBLING_TIMING_ROUNDS):
-                out = scheme.garble(circuit, rng=rng)
-            garble_seconds = (time.perf_counter() - start) / GARBLING_TIMING_ROUNDS
-            per_scheme[name] = {
-                "table_bytes": out.garbled.serialized_size(),
-                "garble_wall_seconds": round(garble_seconds, 9),
-                "and_gate_count": circuit.and_gate_count,
-                "gate_histogram": circuit.gate_histogram(),
-            }
-
-        pools = {
-            name: ComparisonPool(bit_width, scheme=name)
-            for name in GARBLING_SCHEMES_COMPARED
-        }
-        for pool in pools.values():
-            pool.warm(GARBLING_SAMPLES)
-        rng = random.Random(bit_width * 6151)
-        matches = True
-        for _ in range(GARBLING_SAMPLES):
-            a = rng.randrange(0, 1 << bit_width)
-            b = rng.randrange(0, 1 << bit_width)
-            for pool in pools.values():
-                if pool.take().evaluate(a, b).result != (a > b):
-                    matches = False
-        classic = per_scheme["classic"]
-        halfgates = per_scheme["halfgates"]
-        widths_section[str(bit_width)] = dict(
-            per_scheme,
-            original_gate_histogram=base.gate_histogram(),
-            outcomes_match=matches,
-            samples=GARBLING_SAMPLES,
-            table_bytes_reduction=round(
-                classic["table_bytes"] / halfgates["table_bytes"], 2
-            ),
-            garble_time_reduction=round(
-                classic["garble_wall_seconds"] / halfgates["garble_wall_seconds"], 2
-            ),
-        )
-
-    home_count, sample_count = GARBLING_DAY_SCALES[scale]
-    invariance = experiment_scheme_shard_invariance(
-        schemes=GARBLING_SCHEMES_COMPARED,
-        worker_counts=GARBLING_WORKER_COUNTS,
-        home_count=home_count,
-        sample_count=sample_count,
-    )
-    shard_section = {
-        result.scheme: {
-            "windows_executed": result.windows_executed,
-            "gc_fallbacks": result.gc_fallbacks,
-            "gc_offline_seconds": round(result.gc_offline_seconds, 6),
-            "garbled_traffic_bytes": result.garbled_traffic_bytes,
-            "identical": {
-                str(workers): ok for workers, ok in result.identical_by_workers.items()
-            },
-        }
-        for result in invariance.per_scheme
-    }
-    return {
-        "widths": widths_section,
-        "shard_invariance": shard_section,
-        "economics_identical_across_schemes": (
-            invariance.economics_identical_across_schemes
-        ),
-    }
-
-
-def run_multiexp_section() -> dict:
-    """Build the ``multiexp`` report section.
-
-    The fixed-base comb is certified against the builtin ``pow`` oracle
-    (``matches_pow``) and timed next to it over a batch of small exponents
-    of one base — Protocol 4's ratio-phase shape.  The table build is
-    charged to the batch.  The speedup is recorded, not gated.
-    """
-    import random
-    import time
-
-    from repro.crypto.accel import FixedBaseTable
-
-    rng = random.Random(0xC0FFEE)
-    modulus = rng.getrandbits(MULTIEXP_MODULUS_BITS) | (
-        1 << (MULTIEXP_MODULUS_BITS - 1)
-    ) | 1
-    base = rng.randrange(2, modulus)
-    small_exponents = [
-        rng.getrandbits(MULTIEXP_SMALL_EXPONENT_BITS) for _ in range(MULTIEXP_BATCH)
-    ]
-
-    start = time.perf_counter()
-    oracle = [pow(base, e, modulus) for e in small_exponents]
-    pow_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    table = FixedBaseTable(
-        base, modulus, max_exponent_bits=MULTIEXP_SMALL_EXPONENT_BITS
-    )
-    combed = [table.powmod(e) for e in small_exponents]
-    comb_seconds = time.perf_counter() - start
-    return {
-        "modulus_bits": MULTIEXP_MODULUS_BITS,
-        "fixed_base_comb": {
-            "matches_pow": combed == oracle,
-            "exponent_bits": MULTIEXP_SMALL_EXPONENT_BITS,
-            "batch": MULTIEXP_BATCH,
-            "pow_seconds": round(pow_seconds, 9),
-            "seconds": round(comb_seconds, 9),
-            "speedup_vs_pow": round(pow_seconds / comb_seconds, 2)
-            if comb_seconds > 0
-            else None,
-        },
-    }
-
-
-def run_topology_section() -> dict:
-    """Build the ``aggregation_topology`` report section.
-
-    Two certificates ride along with the speedup numbers:
-
-    * **identity** — every topology's encrypted sum must be bit-identical
-      to the serial chain's (seeded encryption randomness, commutative
-      Paillier product) and decrypt to the plaintext sum;
-    * **sharding** — a sampled trading day under each topology must stay
-      bit-identical (traces + merged stats, ``RunReport.identical_to``)
-      across worker counts 1/2/4.
-    """
-    from repro.analysis.experiments import (
-        experiment_aggregation_topologies,
-        experiment_topology_shard_invariance,
-    )
-
-    observations = experiment_aggregation_topologies(
-        requester_counts=TOPOLOGY_REQUESTER_COUNTS, topologies=TOPOLOGY_NAMES
-    )
-    by_count: dict = {}
-    for obs in observations:
-        by_count.setdefault(obs.requesters, {})[obs.topology] = obs
-
-    requesters_section: dict = {}
-    for count, row in sorted(by_count.items()):
-        chain = row["chain"]
-        entry: dict = {
-            "sums_identical": all(
-                obs.encrypted_sum == chain.encrypted_sum
-                and obs.decrypted_sum == obs.expected_sum
-                and obs.offline_seconds == chain.offline_seconds
-                for obs in row.values()
-            ),
-        }
-        for name, obs in sorted(row.items()):
-            entry[name] = {
-                "simulated_seconds": round(obs.simulated_seconds, 9),
-                "critical_path_rounds": obs.critical_path_rounds,
-                "hops": obs.hops,
-            }
-        entry["tree_vs_chain_speedup"] = round(
-            chain.simulated_seconds / row["tree:2"].simulated_seconds, 2
-        )
-        requesters_section[str(count)] = entry
-
-    invariance = experiment_topology_shard_invariance(
-        topologies=("chain", "tree:2"), worker_counts=TOPOLOGY_WORKER_COUNTS
-    )
-    shard_section = {
-        result.topology: {
-            "windows_executed": result.windows_executed,
-            "day_simulated_seconds": round(result.day_simulated_seconds, 6),
-            "identical": {
-                str(workers): ok for workers, ok in result.identical_by_workers.items()
-            },
-        }
-        for result in invariance
-    }
-    return {"requesters": requesters_section, "shard_invariance": shard_section}
-
-
-def run_session_section(scale: str) -> dict:
-    """Build the ``session_reuse`` report section."""
-    from repro.analysis.experiments import experiment_session_reuse
-
-    home_count, sample_count = SESSION_SCALES[scale]
-    obs = experiment_session_reuse(
-        home_count=home_count,
-        sample_count=sample_count,
-        worker_counts=SESSION_WORKER_COUNTS,
-    )
-    return {
-        "home_count": obs.home_count,
-        "windows_executed": obs.windows_executed,
-        "simulated_day_seconds_window_scope": round(obs.window_scope_day_seconds, 6),
-        "simulated_day_seconds_day_scope": round(obs.day_scope_day_seconds, 6),
-        "session_reuse_speedup": round(obs.session_reuse_speedup, 2),
-        "gc_offline_seconds_window_scope": round(
-            obs.window_scope_gc_offline_seconds, 6
-        ),
-        "gc_offline_seconds_day_scope": round(obs.day_scope_gc_offline_seconds, 6),
-        "economics_identical": obs.economics_identical,
-        "sessions_established": obs.sessions_established,
-        "sessions_reused": obs.sessions_reused,
-        "shard_invariance": {
-            str(workers): ok
-            for workers, ok in obs.day_scope_identical_by_workers.items()
-        },
-        "socket_transport_identical": obs.socket_transport_identical,
-    }
-
-
-def run_pipelining_section(scale: str) -> dict:
-    """Build the ``pipelining`` report section.
-
-    The same day-scoped sampled day runs with and without a
-    ``WindowPipeline`` stage under the WAN cost profile (the paper's
-    containers sit in homes on residential broadband — the regime where
-    offline and online clocks are comparable and overlap pays).  The
-    speedup is read off the per-window traces
-    (``RunReport.pipelined_simulated_seconds`` vs.
-    ``unpipelined_simulated_seconds``); the certificates — bit-identity at
-    every worker count over both transports and the tree topology, and
-    chaos recovery without touching pre-staged successor material — and
-    the speedup floor are gated by ``validate_report``.
-    """
-    from repro.analysis.experiments import experiment_window_pipelining
-
-    home_count, sample_count = PIPELINE_SCALES[scale]
-    obs = experiment_window_pipelining(
-        home_count=home_count,
-        sample_count=sample_count,
-        worker_counts=PIPELINE_WORKER_COUNTS,
-    )
-    return {
-        "home_count": obs.home_count,
-        "windows_executed": obs.windows_executed,
-        "unpipelined_day_seconds": round(obs.unpipelined_day_seconds, 6),
-        "pipelined_day_seconds": round(obs.pipelined_day_seconds, 6),
-        "pipeline_speedup": round(obs.pipeline_speedup, 4),
-        "hidden_offline_seconds": round(obs.hidden_offline_seconds, 6),
-        "overlap_eligible_seconds": round(obs.overlap_eligible_seconds, 6),
-        "pipeline_reserved": obs.pipeline_reserved,
-        "identical_by_workers": {
-            str(workers): ok for workers, ok in obs.identical_by_workers.items()
-        },
-        "socket_identical_by_workers": {
-            str(workers): ok
-            for workers, ok in obs.socket_identical_by_workers.items()
-        },
-        "tree_topology_identical": obs.tree_topology_identical,
-        "chaos_incidents": obs.chaos_incidents,
-        "chaos_recovered": obs.chaos_recovered,
-        "chaos_recovered_identical": obs.chaos_recovered_identical,
-    }
-
-
-def run_chaos_section(scale: str) -> dict:
-    """Build the ``chaos`` report section.
-
-    A seeded deterministic fault plan (frame drops / reorders / duplicates
-    / corruption, a mid-window pool drain, and — on the socket fan-out —
-    a SIGKILLed shard worker) is executed across the survival matrix of
-    transport x session-scope x workers.  Every cell must recover to the
-    *bit-identical* fault-free day with every incident classified; a
-    tampered-GC run must fail closed with an attributable
-    ``integrity_violation`` — the zero-silent-wrong-answer gates of
-    ``validate_report``.
-    """
-    from repro.analysis.experiments import experiment_chaos_matrix
-
-    home_count, sample_count = CHAOS_SCALES[scale]
-    obs = experiment_chaos_matrix(
-        home_count=home_count,
-        sample_count=sample_count,
-        worker_counts=CHAOS_WORKER_COUNTS,
-        chaos_seed=CHAOS_SEED,
-    )
-    return {
-        "home_count": obs.home_count,
-        "windows_executed": obs.windows_executed,
-        "chaos_seed": obs.chaos_seed,
-        "max_attempts": obs.max_attempts,
-        "total_incidents": obs.total_incidents,
-        "recovery_rate": round(obs.recovery_rate, 4),
-        "retry_overhead": round(obs.retry_overhead, 4),
-        "tamper_fail_closed": obs.tamper_fail_closed,
-        "tamper_incident_classified": obs.tamper_incident_classified,
-        "matrix": {
-            f"{cell.transport}/{cell.session_scope}/workers={cell.workers}": {
-                "incidents": cell.incidents,
-                "worker_losses": cell.worker_losses,
-                "retried_attempts": cell.retried_attempts,
-                "recovered": cell.recovered,
-                "recovered_identical": cell.recovered_identical,
-            }
-            for cell in obs.cells
-        },
-    }
-
-
-def run_planner_section(scale: str) -> dict:
-    """Build the ``planner`` report section.
-
-    The deployment planner plans three fleet regimes (single LAN host,
-    LAN cluster, WAN fleet of homes); each plan must match the
-    exhaustive-enumeration oracle bit-for-bit and beat the naive
-    chain/window/local default (> 1.0x predicted).  The first regime's
-    emitted ``ProtocolConfig`` + ``ExecutionPlan`` then executes a real
-    sampled day next to the naive default and must be economically
-    identical — see ``docs/PLANNER.md``.
-    """
-    from repro.analysis.experiments import experiment_planner_sweep
-
-    home_count, sample_count = PLANNER_SCALES[scale]
-    obs = experiment_planner_sweep(
-        home_count=home_count, sample_count=sample_count
-    )
-    return {
-        "regimes": {
-            regime.name: {
-                "hosts": regime.hosts,
-                "cores_per_host": regime.cores_per_host,
-                "agents": regime.agents,
-                "windows": regime.windows,
-                "link": regime.link,
-                "naive_day_seconds": round(regime.naive_day_seconds, 6),
-                "planned_day_seconds": round(regime.planned_day_seconds, 6),
-                "speedup": round(regime.speedup, 4),
-                "oracle_match": regime.oracle_match,
-                "candidates_evaluated": regime.candidates_evaluated,
-                "candidates_pruned": regime.candidates_pruned,
-                "space_size": regime.space_size,
-                "planned": dict(regime.planned),
-            }
-            for regime in obs.regimes
-        },
-        "executed": {
-            "regime": obs.executed.regime,
-            "windows_executed": obs.executed.windows_executed,
-            "economics_identical": obs.executed.economics_identical,
-            "planned_day_seconds": round(obs.executed.planned_day_seconds, 6),
-            "naive_day_seconds": round(obs.executed.naive_day_seconds, 6),
-            "measured_speedup": round(obs.executed.measured_speedup, 4),
-        },
-    }
-
-
-def run_parallel_day(scale: str, workers: int) -> dict:
-    """Execute the sharded-day experiment and distill it for the report."""
-    from repro.analysis.experiments import experiment_parallel_day
-
-    home_count, sample_count, crypto_bits = PARALLEL_SCALES[scale]
-    obs = experiment_parallel_day(
-        home_count=home_count,
-        sample_count=sample_count,
-        workers=workers,
-        crypto_key_size=crypto_bits,
-    )
-    return {
-        "home_count": obs.home_count,
-        "windows_executed": obs.windows_executed,
-        "workers": obs.workers,
-        "host_cpu_count": os.cpu_count(),
-        "results_identical": obs.results_identical,
-        "pool_fallbacks": obs.pool_fallbacks,
-        "simulated_day_seconds_serial": round(obs.serial_simulated_seconds, 6),
-        "simulated_day_seconds_parallel": round(obs.parallel_simulated_seconds, 6),
-        "simulated_speedup": round(obs.simulated_speedup, 2),
-        "wall_seconds_serial": round(obs.serial_wall_seconds, 3),
-        "wall_seconds_parallel": round(obs.parallel_wall_seconds, 3),
-        "wall_speedup": round(
-            obs.serial_wall_seconds / obs.parallel_wall_seconds, 2
-        )
-        if obs.parallel_wall_seconds > 0
-        else None,
     }
 
 
@@ -715,24 +125,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         raw = json.loads(raw_path.read_text())
 
     report = distill(raw, args.scale)
-    print("running the comparison outcome-identity check ...")
-    report["comparison"] = run_comparison_section(report["benchmarks"])
-    print("running the garbling-scheme comparison (classic vs. halfgates) ...")
-    report["garbling"] = run_garbling_section(args.scale)
-    print("running the fixed-base comb oracle certificate ...")
-    report["multiexp"] = run_multiexp_section()
-    print("running the aggregation-topology sweep + identity/sharding certificates ...")
-    report["aggregation_topology"] = run_topology_section()
-    print("running the session-reuse day (window vs. day scope, socket transport) ...")
-    report["session_reuse"] = run_session_section(args.scale)
-    print("running the pipelined day (offline/online overlap + certificates) ...")
-    report["pipelining"] = run_pipelining_section(args.scale)
-    print("running the chaos survival matrix + fail-closed certificates ...")
-    report["chaos"] = run_chaos_section(args.scale)
-    print("running the deployment-planner sweep (oracle + executed certificates) ...")
-    report["planner"] = run_planner_section(args.scale)
-    print(f"running the sharded-day experiment ({args.workers} workers) ...")
-    report["parallel_runner"] = run_parallel_day(args.scale, args.workers)
+    run = bench_sections.Run(args.scale, args.workers, report["benchmarks"])
+    for section in bench_sections.SECTIONS:
+        print(f"running the {section.name} section ...")
+        observation = section.observe(run, **section.scales.get(args.scale, {}))
+        report[section.name] = bench_sections.to_json(observation)
     args.output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     problems = validate_report(report)

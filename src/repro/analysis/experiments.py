@@ -17,9 +17,10 @@ per-window averages — the quantity the paper's figures are built from.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..core.params import PAPER_PARAMETERS, MarketParameters
 from ..core.pem import PlainTradingEngine
@@ -40,6 +41,10 @@ from .metrics import (
     price_series,
     seller_utility_comparison,
 )
+
+if TYPE_CHECKING:
+    from ..chaos import FaultPlan
+    from ..runtime.runner import RunReport
 
 __all__ = [
     "default_dataset",
@@ -294,6 +299,93 @@ def experiment_fig5_runtime(
     return observations
 
 
+# ---------------------------------------------------------------------------
+# Sampled-day certificates (the day sections of BENCH_crypto.json).  Each
+# observation's field names are the JSON keys of its report section.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _SampledDay:
+    """A stratified sample of one trading day, runnable under any config.
+
+    Every day-level certificate below runs the same shape: the sampled
+    market windows of ``home_count`` homes on a fresh small-key engine
+    (``crypto_key_size`` bits, ``key_pool_size=4``, ``seed=7``) whose clock
+    is ``cost_model``.  Runs differ only in their :class:`ProtocolConfig`
+    overrides, worker count and pipelining.
+    """
+
+    dataset: TraceDataset
+    windows: List[int]
+    home_count: int
+    crypto_key_size: int
+    cost_model: CostModel
+
+    @classmethod
+    def sample(
+        cls,
+        home_count: int,
+        sample_count: int,
+        crypto_key_size: int,
+        cost_model: CostModel,
+        window_count: int = FULL_DAY_WINDOWS,
+        seed: int = DEFAULT_SEED,
+    ) -> "_SampledDay":
+        dataset = default_dataset(max(home_count, 300), window_count, seed)
+        windows = sample_market_windows(dataset, home_count, sample_count)
+        return cls(dataset, windows, home_count, crypto_key_size, cost_model)
+
+    def run(self, workers: int = 1, pipeline: bool = False, **config) -> "RunReport":
+        """Run the day on a fresh engine with ``config`` overrides."""
+        engine = PrivateTradingEngine(
+            params=PAPER_PARAMETERS,
+            config=ProtocolConfig(
+                key_size=self.crypto_key_size, key_pool_size=4, seed=7, **config
+            ),
+            cost_model=self.cost_model,
+        )
+        return engine.run_windows_report(
+            self.dataset,
+            self.windows,
+            home_count=self.home_count,
+            workers=workers,
+            pipeline=pipeline,
+        )
+
+    def identical_by_workers(
+        self,
+        baseline: "RunReport",
+        worker_counts: Sequence[int],
+        pipeline: bool = False,
+        **config,
+    ) -> Dict[int, bool]:
+        """Worker count → a fresh run at that count is bit-identical
+        (``RunReport.identical_to``) to ``baseline``."""
+        return {
+            workers: baseline.identical_to(self.run(workers, pipeline, **config))
+            for workers in worker_counts
+        }
+
+
+def _chaos_plan(chaos_seed: int, day: _SampledDay) -> "FaultPlan":
+    """The seeded fault plan of the chaos matrix and the pipelined chaos
+    day: frame-fault rates chosen so a sampled day reliably sees
+    injections, plus a pool drain in the day's first window."""
+    from ..chaos import FaultPlan, PoolDrain
+
+    return FaultPlan(
+        seed=chaos_seed,
+        drop_rate=0.01,
+        reorder_rate=0.005,
+        duplicate_rate=0.005,
+        corrupt_rate=0.01,
+        max_faults_per_window=2,
+        max_attempts=4,
+        pool_drains=(PoolDrain(window=day.windows[0]),) if day.windows else (),
+    )
+
+
 @dataclass(frozen=True)
 class ParallelDayObservation:
     """A Fig. 5-style day executed serially and sharded across workers.
@@ -302,35 +394,41 @@ class ParallelDayObservation:
         home_count: number of agents.
         windows_executed: how many market windows were actually run.
         workers: worker processes of the sharded run.
+        host_cpu_count: the host's core count, which bounds the wall
+            speedup (a single-core box shows ~1x without a sharding bug).
         results_identical: whether the sharded run reproduced the serial
             ``WindowResult``s and merged stats bit-for-bit (it must).
-        serial_simulated_seconds: simulated day runtime executing the
-            windows back-to-back (the repo's canonical runtime metric —
-            see :mod:`repro.net.costmodel` for why host wall-clock of the
-            in-process simulation is not).
-        parallel_simulated_seconds: simulated day runtime under the plan
-            (slowest shard).
-        simulated_speedup: ratio of the two (near-linear in ``workers``
-            since windows are independent).
-        serial_wall_seconds / parallel_wall_seconds: host wall-clock of the
-            two runs — bounded by the machine's real core count.
         pool_fallbacks: merged drained-pool fallback count (0 means the
             offline warm-up fully covered the online encryptions).
         gc_fallbacks: merged drained-comparison-pool fallback count (0
             means every secure comparison evaluated a prepared instance).
+        simulated_day_seconds_serial: simulated day runtime executing the
+            windows back-to-back (the repo's canonical runtime metric —
+            see :mod:`repro.net.costmodel` for why host wall-clock of the
+            in-process simulation is not).
+        simulated_day_seconds_parallel: simulated day runtime under the
+            plan (slowest shard).
+        simulated_speedup: ratio of the two (near-linear in ``workers``
+            since windows are independent).
+        wall_seconds_serial / wall_seconds_parallel: host wall-clock of the
+            two runs — bounded by the machine's real core count.
+        wall_speedup: their ratio (``None`` if the sharded run took no
+            measurable time).
     """
 
     home_count: int
     windows_executed: int
     workers: int
+    host_cpu_count: Optional[int]
     results_identical: bool
-    serial_simulated_seconds: float
-    parallel_simulated_seconds: float
-    simulated_speedup: float
-    serial_wall_seconds: float
-    parallel_wall_seconds: float
     pool_fallbacks: int
-    gc_fallbacks: int = 0
+    gc_fallbacks: int
+    simulated_day_seconds_serial: float
+    simulated_day_seconds_parallel: float
+    simulated_speedup: float
+    wall_seconds_serial: float
+    wall_seconds_parallel: float
+    wall_speedup: Optional[float]
 
 
 def experiment_parallel_day(
@@ -341,50 +439,37 @@ def experiment_parallel_day(
     key_size: int = 1024,
     window_count: int = FULL_DAY_WINDOWS,
     seed: int = DEFAULT_SEED,
-    aggregation_topology: str = "chain",
 ) -> ParallelDayObservation:
     """Run the same sampled day serially and sharded; compare and time both.
 
     This is the scaling experiment behind the ``parallel_runner`` section of
     ``BENCH_crypto.json``: it certifies that sharding is result-preserving
     and reports the day-runtime speedup on both clocks.
-    ``aggregation_topology`` selects the encrypted-sum collection shape
-    (the sharding certificate must hold for every topology).
     """
-
-    def build_engine() -> PrivateTradingEngine:
-        return PrivateTradingEngine(
-            params=PAPER_PARAMETERS,
-            config=ProtocolConfig(
-                key_size=crypto_key_size,
-                key_pool_size=4,
-                seed=7,
-                aggregation_topology=aggregation_topology,
-            ),
-            cost_model=CostModel.for_key_size(key_size),
-        )
-
-    dataset = default_dataset(max(home_count, 300), window_count, seed)
-    windows = sample_market_windows(dataset, home_count, sample_count)
-    serial = build_engine().run_windows_report(
-        dataset, windows, home_count=home_count, workers=1
+    day = _SampledDay.sample(
+        home_count, sample_count, crypto_key_size,
+        CostModel.for_key_size(key_size), window_count, seed,
     )
-    parallel = build_engine().run_windows_report(
-        dataset, windows, home_count=home_count, workers=workers
-    )
-    identical = serial.identical_to(parallel)
+    serial = day.run()
+    parallel = day.run(workers)
     return ParallelDayObservation(
         home_count=home_count,
         windows_executed=len(parallel.traces),
         workers=parallel.plan.workers,
-        results_identical=identical,
-        serial_simulated_seconds=parallel.serial_simulated_seconds,
-        parallel_simulated_seconds=parallel.parallel_simulated_seconds,
-        simulated_speedup=parallel.simulated_speedup,
-        serial_wall_seconds=serial.wall_seconds,
-        parallel_wall_seconds=parallel.wall_seconds,
+        host_cpu_count=os.cpu_count(),
+        results_identical=serial.identical_to(parallel),
         pool_fallbacks=parallel.stats.pool_fallbacks,
         gc_fallbacks=parallel.stats.gc_fallbacks,
+        simulated_day_seconds_serial=parallel.serial_simulated_seconds,
+        simulated_day_seconds_parallel=parallel.parallel_simulated_seconds,
+        simulated_speedup=parallel.simulated_speedup,
+        wall_seconds_serial=serial.wall_seconds,
+        wall_seconds_parallel=parallel.wall_seconds,
+        wall_speedup=(
+            serial.wall_seconds / parallel.wall_seconds
+            if parallel.wall_seconds > 0
+            else None
+        ),
     )
 
 
@@ -539,20 +624,18 @@ class TopologyShardInvariance:
     """Sharded-run determinism certificate for one aggregation topology.
 
     Attributes:
-        topology: aggregation-topology name.
         windows_executed: market windows in the sampled day.
         day_simulated_seconds: serial simulated day runtime under the
             topology (trees beat the chain here as coalitions grow).
-        identical_by_workers: worker count → whether the run reproduced
-            the serial baseline's traces and merged stats bit for bit
-            (``workers=1`` certifies run-to-run determinism of two fresh
-            engines; higher counts certify shard invariance).
+        identical: worker count → whether the run reproduced the serial
+            baseline's traces and merged stats bit for bit (``workers=1``
+            certifies run-to-run determinism of two fresh engines; higher
+            counts certify shard invariance).
     """
 
-    topology: str
     windows_executed: int
     day_simulated_seconds: float
-    identical_by_workers: Dict[int, bool]
+    identical: Dict[int, bool]
 
 
 def experiment_topology_shard_invariance(
@@ -564,49 +647,28 @@ def experiment_topology_shard_invariance(
     key_size: int = 1024,
     window_count: int = FULL_DAY_WINDOWS,
     seed: int = DEFAULT_SEED,
-) -> List[TopologyShardInvariance]:
+) -> Dict[str, TopologyShardInvariance]:
     """Certify that every topology stays bit-identical under sharding.
 
     For each topology a sampled day is executed serially (the baseline)
     and again at each worker count; ``RunReport.identical_to`` — traces,
     merged stats, both offline clocks, fallback counters and the
-    per-topology hop/round counters — must hold for all of them.  The
-    ``aggregation_topology`` bench section embeds the result so a
-    regression in topology/runtime interplay fails the bench run.
+    per-topology hop/round counters — must hold for all of them.  Keyed
+    by topology name.
     """
-
-    def build_engine(topology: str) -> PrivateTradingEngine:
-        return PrivateTradingEngine(
-            params=PAPER_PARAMETERS,
-            config=ProtocolConfig(
-                key_size=crypto_key_size,
-                key_pool_size=4,
-                seed=7,
-                aggregation_topology=topology,
-            ),
-            cost_model=CostModel.for_key_size(key_size),
-        )
-
-    dataset = default_dataset(max(home_count, 300), window_count, seed)
-    windows = sample_market_windows(dataset, home_count, sample_count)
-    results: List[TopologyShardInvariance] = []
+    day = _SampledDay.sample(
+        home_count, sample_count, crypto_key_size,
+        CostModel.for_key_size(key_size), window_count, seed,
+    )
+    results: Dict[str, TopologyShardInvariance] = {}
     for topology in topologies:
-        baseline = build_engine(topology).run_windows_report(
-            dataset, windows, home_count=home_count, workers=1
-        )
-        identical: Dict[int, bool] = {}
-        for workers in worker_counts:
-            report = build_engine(topology).run_windows_report(
-                dataset, windows, home_count=home_count, workers=workers
-            )
-            identical[workers] = baseline.identical_to(report)
-        results.append(
-            TopologyShardInvariance(
-                topology=topology,
-                windows_executed=len(baseline.traces),
-                day_simulated_seconds=baseline.serial_simulated_seconds,
-                identical_by_workers=identical,
-            )
+        baseline = day.run(aggregation_topology=topology)
+        results[topology] = TopologyShardInvariance(
+            windows_executed=len(baseline.traces),
+            day_simulated_seconds=baseline.serial_simulated_seconds,
+            identical=day.identical_by_workers(
+                baseline, worker_counts, aggregation_topology=topology
+            ),
         )
     return results
 
@@ -616,23 +678,21 @@ class SchemeShardInvariance:
     """One garbling scheme's sampled day plus its sharding certificates.
 
     Attributes:
-        scheme: garbling-scheme name (``classic``, ``halfgates``).
         windows_executed: market windows in the sampled day.
         gc_fallbacks: merged drained-comparison-pool fallbacks (0 means
             every comparison evaluated a prepared instance of this scheme).
         gc_offline_seconds: the serial day's garbled-circuit offline clock.
         garbled_traffic_bytes: the day's out-of-band bytes (garbled tables
             + OT label traffic — the component halfgates shrinks).
-        identical_by_workers: worker count → ``RunReport.identical_to``
-            against the scheme's own serial baseline.
+        identical: worker count → ``RunReport.identical_to`` against the
+            scheme's own serial baseline.
     """
 
-    scheme: str
     windows_executed: int
     gc_fallbacks: int
     gc_offline_seconds: float
     garbled_traffic_bytes: int
-    identical_by_workers: Dict[int, bool]
+    identical: Dict[int, bool]
 
 
 @dataclass(frozen=True)
@@ -647,7 +707,7 @@ class SchemeInvarianceReport:
     standing invariant the bench's ``outcomes_match`` uses).
     """
 
-    per_scheme: List[SchemeShardInvariance]
+    shard_invariance: Dict[str, SchemeShardInvariance]
     economics_identical_across_schemes: bool
 
 
@@ -670,56 +730,29 @@ def experiment_scheme_shard_invariance(
     round-trips through the sharding plan.  Across schemes the serial days
     must be economically identical (outcome identity, not byte identity).
     """
-
-    def build_engine(scheme: str) -> PrivateTradingEngine:
-        return PrivateTradingEngine(
-            params=PAPER_PARAMETERS,
-            config=ProtocolConfig(
-                key_size=crypto_key_size,
-                key_pool_size=4,
-                seed=7,
-                garbling_scheme=scheme,
-            ),
-            cost_model=CostModel.for_key_size(key_size),
-        )
-
-    dataset = default_dataset(max(home_count, 300), window_count, seed)
-    windows = sample_market_windows(dataset, home_count, sample_count)
-    results: List[SchemeShardInvariance] = []
+    day = _SampledDay.sample(
+        home_count, sample_count, crypto_key_size,
+        CostModel.for_key_size(key_size), window_count, seed,
+    )
+    results: Dict[str, SchemeShardInvariance] = {}
     baselines = []
     for scheme in schemes:
-        baseline = build_engine(scheme).run_windows_report(
-            dataset, windows, home_count=home_count, workers=1
-        )
+        baseline = day.run(garbling_scheme=scheme)
         baselines.append(baseline)
-        identical: Dict[int, bool] = {}
-        for workers in worker_counts:
-            report = build_engine(scheme).run_windows_report(
-                dataset, windows, home_count=home_count, workers=workers
-            )
-            identical[workers] = baseline.identical_to(report)
-        results.append(
-            SchemeShardInvariance(
-                scheme=scheme,
-                windows_executed=len(baseline.traces),
-                gc_fallbacks=baseline.stats.gc_fallbacks,
-                gc_offline_seconds=baseline.stats.gc_offline_seconds,
-                garbled_traffic_bytes=baseline.stats.bytes_by_kind.get("out_of_band", 0),
-                identical_by_workers=identical,
-            )
+        results[scheme] = SchemeShardInvariance(
+            windows_executed=len(baseline.traces),
+            gc_fallbacks=baseline.stats.gc_fallbacks,
+            gc_offline_seconds=baseline.stats.gc_offline_seconds,
+            garbled_traffic_bytes=baseline.stats.bytes_by_kind.get("out_of_band", 0),
+            identical=day.identical_by_workers(
+                baseline, worker_counts, garbling_scheme=scheme
+            ),
         )
-    reference = baselines[0]
-    economics_identical = all(
-        len(reference.traces) == len(other.traces)
-        and all(
-            a.result.economically_equal(b.result)
-            for a, b in zip(reference.traces, other.traces)
-        )
-        for other in baselines[1:]
-    )
     return SchemeInvarianceReport(
-        per_scheme=results,
-        economics_identical_across_schemes=economics_identical,
+        shard_invariance=results,
+        economics_identical_across_schemes=all(
+            baselines[0].economically_equal(other) for other in baselines[1:]
+        ),
     )
 
 
@@ -748,34 +781,35 @@ class SessionReuseObservation:
     Attributes:
         home_count: number of agents.
         windows_executed: market windows in the sampled day.
-        window_scope_day_seconds: simulated serial day runtime (online
-            critical path) paying the session costs every window.
-        day_scope_day_seconds: the same day with day-scoped sessions.
+        simulated_day_seconds_window_scope: simulated serial day runtime
+            (online critical path) paying the session costs every window.
+        simulated_day_seconds_day_scope: the same day with day-scoped
+            sessions.
         session_reuse_speedup: ratio of the two — the amortization win,
             largest at small window counts where the fixed setup
             dominates.
-        window_scope_gc_offline_seconds / day_scope_gc_offline_seconds:
+        gc_offline_seconds_window_scope / gc_offline_seconds_day_scope:
             the offline clock's base-OT side of the same amortization.
         economics_identical: economic-identity certificate.
         sessions_established / sessions_reused: the day-scoped run's
             merged session counters (establishments must equal the number
             of distinct session pairs — once per pair per day).
-        day_scope_identical_by_workers: worker count → sharding
-            certificate for the day-scoped run.
+        shard_invariance: worker count → sharding certificate for the
+            day-scoped run.
         socket_transport_identical: transport certificate.
     """
 
     home_count: int
     windows_executed: int
-    window_scope_day_seconds: float
-    day_scope_day_seconds: float
+    simulated_day_seconds_window_scope: float
+    simulated_day_seconds_day_scope: float
     session_reuse_speedup: float
-    window_scope_gc_offline_seconds: float
-    day_scope_gc_offline_seconds: float
+    gc_offline_seconds_window_scope: float
+    gc_offline_seconds_day_scope: float
     economics_identical: bool
     sessions_established: int
     sessions_reused: int
-    day_scope_identical_by_workers: Dict[int, bool]
+    shard_invariance: Dict[int, bool]
     socket_transport_identical: bool
 
 
@@ -797,64 +831,33 @@ def experiment_session_reuse(
     dominates the online critical path, so the simulated-day speedup is
     multi-x.  See ``docs/SESSIONS.md``.
     """
-
-    def build_engine(scope: str, transport: str = "local") -> PrivateTradingEngine:
-        return PrivateTradingEngine(
-            params=PAPER_PARAMETERS,
-            config=ProtocolConfig(
-                key_size=crypto_key_size,
-                key_pool_size=4,
-                seed=7,
-                session_scope=scope,
-                transport=transport,
-            ),
-            cost_model=CostModel.for_key_size(key_size),
-        )
-
-    dataset = default_dataset(max(home_count, 300), window_count, seed)
-    windows = sample_market_windows(dataset, home_count, sample_count)
-
-    window_scope = build_engine("window").run_windows_report(
-        dataset, windows, home_count=home_count, workers=1
+    day = _SampledDay.sample(
+        home_count, sample_count, crypto_key_size,
+        CostModel.for_key_size(key_size), window_count, seed,
     )
-    day_scope = build_engine("day").run_windows_report(
-        dataset, windows, home_count=home_count, workers=1
-    )
-
-    economics_identical = len(window_scope.traces) == len(day_scope.traces) and all(
-        a.result.economically_equal(b.result)
-        for a, b in zip(window_scope.traces, day_scope.traces)
-    )
-
-    identical_by_workers: Dict[int, bool] = {}
-    for workers in worker_counts:
-        report = build_engine("day").run_windows_report(
-            dataset, windows, home_count=home_count, workers=workers
-        )
-        identical_by_workers[workers] = day_scope.identical_to(report)
-
-    socket_run = build_engine("day", transport="socket").run_windows_report(
-        dataset, windows, home_count=home_count, workers=1
-    )
-    socket_identical = day_scope.identical_to(socket_run)
-
+    window_scope = day.run(session_scope="window")
+    day_scope = day.run(session_scope="day")
     window_seconds = window_scope.serial_simulated_seconds
     day_seconds = day_scope.serial_simulated_seconds
     return SessionReuseObservation(
         home_count=home_count,
         windows_executed=len(day_scope.traces),
-        window_scope_day_seconds=window_seconds,
-        day_scope_day_seconds=day_seconds,
+        simulated_day_seconds_window_scope=window_seconds,
+        simulated_day_seconds_day_scope=day_seconds,
         session_reuse_speedup=(
             window_seconds / day_seconds if day_seconds > 0 else 1.0
         ),
-        window_scope_gc_offline_seconds=window_scope.stats.gc_offline_seconds,
-        day_scope_gc_offline_seconds=day_scope.stats.gc_offline_seconds,
-        economics_identical=economics_identical,
+        gc_offline_seconds_window_scope=window_scope.stats.gc_offline_seconds,
+        gc_offline_seconds_day_scope=day_scope.stats.gc_offline_seconds,
+        economics_identical=window_scope.economically_equal(day_scope),
         sessions_established=day_scope.stats.sessions_established,
         sessions_reused=day_scope.stats.sessions_reused,
-        day_scope_identical_by_workers=identical_by_workers,
-        socket_transport_identical=socket_identical,
+        shard_invariance=day.identical_by_workers(
+            day_scope, worker_counts, session_scope="day"
+        ),
+        socket_transport_identical=day_scope.identical_to(
+            day.run(session_scope="day", transport="socket")
+        ),
     )
 
 
@@ -926,6 +929,7 @@ def experiment_table1_bandwidth(
     return observations
 
 
+
 # ---------------------------------------------------------------------------
 # Chaos survival matrix (the ``chaos`` section of BENCH_crypto.json).
 # ---------------------------------------------------------------------------
@@ -977,7 +981,8 @@ class ChaosMatrixObservation:
         windows_executed: market windows per run.
         chaos_seed: the fault plan's seed.
         max_attempts: the supervisor's per-window retry budget.
-        cells: the survival matrix (transport x scope x workers).
+        matrix: the survival matrix (transport x scope x workers), keyed
+            ``transport/scope/workers=N``.
         total_incidents: incidents across all cells (must be > 0, or the
             matrix never actually exercised a fault).
         recovery_rate: recovered incidents / total incidents.  Completed
@@ -996,7 +1001,7 @@ class ChaosMatrixObservation:
     windows_executed: int
     chaos_seed: int
     max_attempts: int
-    cells: Tuple[ChaosCellObservation, ...]
+    matrix: Dict[str, ChaosCellObservation]
     total_incidents: int
     recovery_rate: float
     retry_overhead: float
@@ -1028,46 +1033,18 @@ def experiment_chaos_matrix(
     supervisor must abort with an attributable ``integrity_violation``,
     never return a result.  See ``docs/CHAOS.md``.
     """
-    from ..chaos import FaultPlan, GcTamper, PoolDrain
+    from ..chaos import FaultPlan, GcTamper
     from ..runtime.supervisor import WindowAbortError
     from dataclasses import replace as dc_replace
 
-    def build_engine(scope: str, transport: str, fault_plan=None) -> PrivateTradingEngine:
-        return PrivateTradingEngine(
-            params=PAPER_PARAMETERS,
-            config=ProtocolConfig(
-                key_size=crypto_key_size,
-                key_pool_size=4,
-                seed=7,
-                session_scope=scope,
-                transport=transport,
-                fault_plan=fault_plan,
-            ),
-            cost_model=CostModel.for_key_size(key_size),
-        )
-
-    dataset = default_dataset(max(home_count, 300), window_count, seed)
-    windows = sample_market_windows(dataset, home_count, sample_count)
-
-    base_plan = FaultPlan(
-        seed=chaos_seed,
-        drop_rate=0.01,
-        reorder_rate=0.005,
-        duplicate_rate=0.005,
-        corrupt_rate=0.01,
-        max_faults_per_window=2,
-        max_attempts=4,
-        pool_drains=(PoolDrain(window=windows[0]),) if windows else (),
+    day = _SampledDay.sample(
+        home_count, sample_count, crypto_key_size,
+        CostModel.for_key_size(key_size), window_count, seed,
     )
+    base_plan = _chaos_plan(chaos_seed, day)
+    baselines = {scope: day.run(session_scope=scope) for scope in session_scopes}
 
-    baselines = {
-        scope: build_engine(scope, "local").run_windows_report(
-            dataset, windows, home_count=home_count, workers=1
-        )
-        for scope in session_scopes
-    }
-
-    cells = []
+    matrix: Dict[str, ChaosCellObservation] = {}
     total_incidents = 0
     recovered_incidents = 0
     worst_overhead = 0.0
@@ -1077,8 +1054,8 @@ def experiment_chaos_matrix(
                 plan = base_plan
                 if transport == "socket" and workers > 1:
                     plan = dc_replace(base_plan, kill_shards=(1,))
-                report = build_engine(scope, transport, plan).run_windows_report(
-                    dataset, windows, home_count=home_count, workers=workers
+                report = day.run(
+                    workers, session_scope=scope, transport=transport, fault_plan=plan
                 )
                 retried = len(
                     {
@@ -1091,35 +1068,31 @@ def experiment_chaos_matrix(
                 worst_overhead = max(worst_overhead, overhead)
                 total_incidents += len(report.incidents)
                 recovered_incidents += sum(1 for i in report.incidents if i.recovered)
-                cells.append(
-                    ChaosCellObservation(
-                        transport=transport,
-                        session_scope=scope,
-                        workers=workers,
-                        incidents=len(report.incidents),
-                        worker_losses=sum(
-                            1
-                            for i in report.incidents
-                            if i.classification == "worker_loss"
-                        ),
-                        retried_attempts=retried,
-                        recovered=all(i.recovered for i in report.incidents),
-                        recovered_identical=report.identical_to(
-                            baselines[scope], include_incidents=False
-                        ),
-                    )
+                matrix[f"{transport}/{scope}/workers={workers}"] = ChaosCellObservation(
+                    transport=transport,
+                    session_scope=scope,
+                    workers=workers,
+                    incidents=len(report.incidents),
+                    worker_losses=sum(
+                        1
+                        for i in report.incidents
+                        if i.classification == "worker_loss"
+                    ),
+                    retried_attempts=retried,
+                    recovered=all(i.recovered for i in report.incidents),
+                    recovered_identical=report.identical_to(
+                        baselines[scope], include_incidents=False
+                    ),
                 )
 
     tamper_plan = FaultPlan(
         seed=chaos_seed,
-        tampers=(GcTamper(window=windows[0]),) if windows else (),
+        tampers=(GcTamper(window=day.windows[0]),) if day.windows else (),
     )
     tamper_fail_closed = False
     tamper_classified = False
     try:
-        build_engine("window", "local", tamper_plan).run_windows_report(
-            dataset, windows, home_count=home_count, workers=1
-        )
+        day.run(session_scope="window", fault_plan=tamper_plan)
     except WindowAbortError as exc:
         tamper_fail_closed = True
         tamper_classified = any(
@@ -1129,10 +1102,10 @@ def experiment_chaos_matrix(
 
     return ChaosMatrixObservation(
         home_count=home_count,
-        windows_executed=len(windows),
+        windows_executed=len(day.windows),
         chaos_seed=chaos_seed,
         max_attempts=base_plan.max_attempts,
-        cells=tuple(cells),
+        matrix=matrix,
         total_incidents=total_incidents,
         recovery_rate=(
             recovered_incidents / total_incidents if total_incidents else 0.0
@@ -1239,69 +1212,15 @@ def experiment_window_pipelining(
     (offline and online clocks), so it is read off the *baseline* report —
     any of the bit-identical runs would give the same number.
     """
-    from ..chaos import FaultPlan, PoolDrain
-
-    def build_engine(
-        transport: str = "local", topology: str = "chain", fault_plan=None
-    ) -> PrivateTradingEngine:
-        return PrivateTradingEngine(
-            params=PAPER_PARAMETERS,
-            config=ProtocolConfig(
-                key_size=crypto_key_size,
-                key_pool_size=4,
-                seed=7,
-                session_scope="day",
-                transport=transport,
-                aggregation_topology=topology,
-                fault_plan=fault_plan,
-            ),
-            cost_model=CostModel.for_wan_profile(key_size),
-        )
-
-    dataset = default_dataset(max(home_count, 300), window_count, seed)
-    windows = sample_market_windows(dataset, home_count, sample_count)
-
-    baseline = build_engine().run_windows_report(
-        dataset, windows, home_count=home_count, workers=1
+    day = _SampledDay.sample(
+        home_count, sample_count, crypto_key_size,
+        CostModel.for_wan_profile(key_size), window_count, seed,
     )
-
-    pipeline_reserved = 0
-    identical_by_workers: Dict[int, bool] = {}
-    socket_identical_by_workers: Dict[int, bool] = {}
-    for workers in worker_counts:
-        report = build_engine().run_windows_report(
-            dataset, windows, home_count=home_count, workers=workers, pipeline=True
-        )
-        identical_by_workers[workers] = baseline.identical_to(report)
-        if workers == 1:
-            pipeline_reserved = report.pipeline_reserved
-        socket_report = build_engine(transport="socket").run_windows_report(
-            dataset, windows, home_count=home_count, workers=workers, pipeline=True
-        )
-        socket_identical_by_workers[workers] = baseline.identical_to(socket_report)
-
-    tree_baseline = build_engine(topology="tree").run_windows_report(
-        dataset, windows, home_count=home_count, workers=1
-    )
-    tree_pipelined = build_engine(topology="tree").run_windows_report(
-        dataset, windows, home_count=home_count, workers=2, pipeline=True
-    )
-    tree_identical = tree_baseline.identical_to(tree_pipelined)
-
-    chaos_plan = FaultPlan(
-        seed=chaos_seed,
-        drop_rate=0.01,
-        reorder_rate=0.005,
-        duplicate_rate=0.005,
-        corrupt_rate=0.01,
-        max_faults_per_window=2,
-        max_attempts=4,
-        pool_drains=(PoolDrain(window=windows[0]),) if windows else (),
-    )
-    chaos = build_engine(fault_plan=chaos_plan).run_windows_report(
-        dataset, windows, home_count=home_count, workers=2, pipeline=True
-    )
-
+    run = partial(day.run, session_scope="day")
+    baseline = run()
+    pipelined = {workers: run(workers, True) for workers in worker_counts}
+    tree_baseline = run(aggregation_topology="tree")
+    chaos = run(2, True, fault_plan=_chaos_plan(chaos_seed, day))
     return PipeliningObservation(
         home_count=home_count,
         windows_executed=len(baseline.traces),
@@ -1310,10 +1229,18 @@ def experiment_window_pipelining(
         pipeline_speedup=baseline.pipeline_speedup,
         hidden_offline_seconds=baseline.pipeline_hidden_seconds,
         overlap_eligible_seconds=baseline.stats.pipeline_overlap_seconds,
-        pipeline_reserved=pipeline_reserved,
-        identical_by_workers=identical_by_workers,
-        socket_identical_by_workers=socket_identical_by_workers,
-        tree_topology_identical=tree_identical,
+        pipeline_reserved=pipelined[1].pipeline_reserved if 1 in pipelined else 0,
+        identical_by_workers={
+            workers: baseline.identical_to(report)
+            for workers, report in pipelined.items()
+        },
+        socket_identical_by_workers=day.identical_by_workers(
+            baseline, worker_counts, pipeline=True,
+            session_scope="day", transport="socket",
+        ),
+        tree_topology_identical=tree_baseline.identical_to(
+            run(2, True, aggregation_topology="tree")
+        ),
         chaos_incidents=len(chaos.incidents),
         chaos_recovered=all(i.recovered for i in chaos.incidents),
         chaos_recovered_identical=chaos.identical_to(
@@ -1327,8 +1254,6 @@ class PlannerRegimeObservation:
     """The deployment planner's verdict on one fleet regime.
 
     Attributes:
-        name: regime label (``lan_single_host`` / ``lan_cluster`` /
-            ``wan_homes``).
         hosts / cores_per_host / agents / windows / link: the
             :class:`~repro.planning.FleetSpec` facts of the regime.
         naive_day_seconds: predicted day cost of the seed deployment
@@ -1345,7 +1270,6 @@ class PlannerRegimeObservation:
         planned: the chosen candidate's knob settings.
     """
 
-    name: str
     hosts: int
     cores_per_host: int
     agents: int
@@ -1382,10 +1306,11 @@ class PlannerExecutedObservation:
 
 @dataclass(frozen=True)
 class PlannerSweepObservation:
-    """``experiment_planner_sweep``'s result: per-regime verdicts plus the
-    executed certificate (the ``planner`` section of BENCH_crypto.json)."""
+    """``experiment_planner_sweep``'s result: per-regime verdicts keyed by
+    regime name, plus the executed certificate (the ``planner`` section of
+    BENCH_crypto.json)."""
 
-    regimes: Tuple[PlannerRegimeObservation, ...]
+    regimes: Dict[str, PlannerRegimeObservation]
     executed: PlannerExecutedObservation
 
 
@@ -1394,8 +1319,6 @@ def experiment_planner_sweep(
     sample_count: int = 4,
     crypto_key_size: int = 128,
     key_size: int = 1024,
-    window_count: int = FULL_DAY_WINDOWS,
-    seed: int = DEFAULT_SEED,
 ) -> PlannerSweepObservation:
     """Plan three fleet regimes, certify optimality, execute one plan.
 
@@ -1405,16 +1328,11 @@ def experiment_planner_sweep(
     (:meth:`CostModel.for_wan_profile` links, latency-dominated).  Every
     regime's plan is checked against the exhaustive oracle; the first
     regime's plan is then executed end-to-end over a real sampled day
-    against the naive default and must be economically identical.
+    against the naive default (``repro plan --execute``) and must be
+    economically identical.
     """
-    from ..planning import (
-        FleetSpec,
-        WAN_PROFILE,
-        build_cost_model,
-        exhaustive_argmin,
-        naive_candidate,
-        plan,
-    )
+    from ..planning import FleetSpec, WAN_PROFILE, exhaustive_argmin, plan
+    from ..planning.cli import execute_plan
 
     regimes = (
         ("lan_single_host", FleetSpec(
@@ -1431,12 +1349,11 @@ def experiment_planner_sweep(
         )),
     )
 
-    observations = []
+    observations: Dict[str, PlannerRegimeObservation] = {}
     for name, spec in regimes:
         deployment = plan(spec)
         oracle = exhaustive_argmin(spec)
-        observations.append(PlannerRegimeObservation(
-            name=name,
+        observations[name] = PlannerRegimeObservation(
             hosts=spec.hosts,
             cores_per_host=spec.cores_per_host,
             agents=spec.agent_count,
@@ -1453,50 +1370,13 @@ def experiment_planner_sweep(
             candidates_pruned=deployment.candidates_pruned,
             space_size=deployment.space_size,
             planned=deployment.chosen.candidate.to_dict(),
-        ))
+        )
 
-    # Execute the first regime's plan end-to-end on a real sampled day.
     executed_name, executed_spec = regimes[0]
-    deployment = plan(executed_spec)
-    chosen = deployment.chosen.candidate
-    naive = naive_candidate(executed_spec)
-    dataset = default_dataset(max(home_count, 300), window_count, seed)
-    windows = sample_market_windows(dataset, home_count, sample_count)
-
-    def run(candidate):
-        engine = PrivateTradingEngine(
-            params=PAPER_PARAMETERS,
-            config=candidate.protocol_config(crypto_key_size=crypto_key_size),
-            cost_model=build_cost_model(executed_spec, candidate.key_size),
-        )
-        return engine.run_windows_report(
-            dataset,
-            windows,
-            home_count=home_count,
-            workers=candidate.workers,
-            pipeline=candidate.pipeline,
-        )
-
-    planned_report = run(chosen)
-    naive_report = run(naive)
-    economics_identical = len(planned_report.traces) == len(naive_report.traces) and all(
-        a.result.economically_equal(b.result)
-        for a, b in zip(planned_report.traces, naive_report.traces)
+    executed = execute_plan(
+        executed_spec, plan(executed_spec), sample_count, home_count, crypto_key_size
     )
-    planned_seconds = (
-        planned_report.pipelined_simulated_seconds
-        if chosen.pipeline
-        else planned_report.unpipelined_simulated_seconds
+    return PlannerSweepObservation(
+        regimes=observations,
+        executed=PlannerExecutedObservation(regime=executed_name, **executed),
     )
-    naive_seconds = naive_report.unpipelined_simulated_seconds
-    executed = PlannerExecutedObservation(
-        regime=executed_name,
-        windows_executed=len(planned_report.traces),
-        economics_identical=economics_identical,
-        planned_day_seconds=planned_seconds,
-        naive_day_seconds=naive_seconds,
-        measured_speedup=(
-            naive_seconds / planned_seconds if planned_seconds > 0 else 1.0
-        ),
-    )
-    return PlannerSweepObservation(regimes=tuple(observations), executed=executed)

@@ -636,18 +636,6 @@ class ProtocolContext:
         self.charge_comparison(result.and_gate_count, bits)
         return result
 
-    def charge_chain(self, hop_count: int, bytes_per_hop: int) -> None:
-        """Charge a sequential chain of messages to the critical path.
-
-        Legacy hook from the chain-only era; aggregations now charge
-        themselves through :meth:`charge_aggregation`, which applies the
-        latency-hiding model to whatever topology actually ran.
-        """
-        if self.cost_model is not None:
-            self.network.charge_crypto_time(
-                self.cost_model.chain_cost(hop_count, bytes_per_hop)
-            )
-
     def charge_aggregation(
         self,
         schedule: AggregationSchedule,

@@ -99,8 +99,8 @@ class AggregationSchedule:
 
         Each layer costs one message time (its hops are concurrent); the
         trailing ``+ 1`` is the delivery of the root's product to its
-        consumer.  For the chain this equals ``contributor_count``, exactly
-        what the seed's ``chain_cost`` charged.
+        consumer.  For the chain this equals ``contributor_count``: one
+        message time per contributor.
         """
         return len(self.layers) + 1
 

@@ -232,16 +232,6 @@ class CostModel:
         """Cost of transmitting one message."""
         return self.network.message_seconds(size_bytes)
 
-    def chain_cost(self, hop_count: int, bytes_per_hop: int) -> float:
-        """Critical-path cost of a sequential chain of ``hop_count`` messages.
-
-        The serial chain topology is inherently sequential: each agent must
-        receive the running ciphertext before it can fold in its own
-        contribution and forward it.  Equivalent to
-        :meth:`layered_aggregation_cost` with one hop per layer.
-        """
-        return hop_count * self.network.message_seconds(bytes_per_hop)
-
     def layered_aggregation_cost(self, depth: int, bytes_per_hop: int) -> float:
         """Critical-path cost of a layered (latency-hiding) aggregation.
 
@@ -250,10 +240,11 @@ class CostModel:
         ``max`` over its hops — one message time when hops carry equally
         sized ciphertexts — rather than their sum.  ``depth`` is the
         schedule's critical-path depth (merge layers plus the delivery
-        hop); a chain of ``n`` contributors has depth ``n`` and this
-        degenerates to :meth:`chain_cost`, a k-ary tree has depth
-        ``ceil(log_k n) + 1`` — the O(n / log n) online win the tree
-        topologies exist for.
+        hop).  A chain of ``n`` contributors has depth ``n``: each agent
+        must receive the running ciphertext before it can fold in its own
+        contribution, so the chain pays one message time per hop.  A k-ary
+        tree has depth ``ceil(log_k n) + 1`` — the O(n / log n) online win
+        the tree topologies exist for.
         """
         return depth * self.network.message_seconds(bytes_per_hop)
 

@@ -22,7 +22,7 @@ from typing import Optional
 from .fleet import FleetSpec, LinkProfile, resolve_link_profile
 from .search import DeploymentPlan, exhaustive_argmin, naive_candidate, plan
 
-__all__ = ["main", "build_spec"]
+__all__ = ["main", "build_spec", "execute_plan"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,7 +124,7 @@ def _check_oracle(spec: FleetSpec, deployment: DeploymentPlan) -> bool:
     return matches
 
 
-def _execute_plan(
+def execute_plan(
     spec: FleetSpec,
     deployment: DeploymentPlan,
     sample_count: int,
@@ -158,10 +158,6 @@ def _execute_plan(
 
     planned_report = run(chosen)
     naive_report = run(naive)
-    economics_identical = len(planned_report.traces) == len(naive_report.traces) and all(
-        a.result.economically_equal(b.result)
-        for a, b in zip(planned_report.traces, naive_report.traces)
-    )
     planned_seconds = (
         planned_report.pipelined_simulated_seconds
         if chosen.pipeline
@@ -170,7 +166,7 @@ def _execute_plan(
     naive_seconds = naive_report.unpipelined_simulated_seconds
     return {
         "windows_executed": len(planned_report.traces),
-        "economics_identical": economics_identical,
+        "economics_identical": planned_report.economically_equal(naive_report),
         "planned_day_seconds": planned_seconds,
         "naive_day_seconds": naive_seconds,
         "measured_speedup": (
@@ -195,7 +191,7 @@ def main(argv: Optional[list] = None) -> int:
         ok = ok and matches
 
     if args.execute is not None:
-        executed = _execute_plan(
+        executed = execute_plan(
             spec, deployment, args.execute, args.execute_homes, args.crypto_key_size
         )
         payload["executed"] = executed

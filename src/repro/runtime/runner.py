@@ -250,6 +250,19 @@ class RunReport:
     incidents: List[Incident] = field(default_factory=list)
     pipeline_reserved: int = 0
 
+    def economically_equal(self, other: "RunReport") -> bool:
+        """Window-by-window ``WindowResult.economically_equal`` with ``other``.
+
+        The same trades, prices and coalitions in every window, whatever
+        the clocks and bytes — the certificate for changes that may only
+        move clock charges (session scope, garbling scheme, a planned
+        deployment).
+        """
+        return len(self.traces) == len(other.traces) and all(
+            a.result.economically_equal(b.result)
+            for a, b in zip(self.traces, other.traces)
+        )
+
     def identical_to(self, other: "RunReport", include_incidents: bool = True) -> bool:
         """Bit-for-bit equality of traces and merged stats with ``other``.
 

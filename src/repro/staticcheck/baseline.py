@@ -9,7 +9,9 @@ reviewed and accepted) when a rule landed.  The contract, enforced by
 * a current finding with no pinned entry is *new* — it fails the build;
 * a pinned entry with no current finding is *stale* — it also fails the
   build (``--baseline-update`` rewrites the file), so the baseline can
-  only shrink deliberately, never rot.
+  only shrink deliberately, never rot;
+* a pinned entry for a file outside the scanned paths is out of scope —
+  a narrowed scan neither reports it stale nor drops it on update.
 
 Keys count multiplicity: two identical offending lines in one file need
 two pinned entries, and fixing one of them makes the other entry stale
@@ -22,7 +24,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .findings import Finding
 
@@ -89,6 +91,13 @@ class BaselineDiff:
         return not self.new and not self.stale
 
 
+def out_of_scope(baseline: Baseline, in_scope: Callable[[str], bool]) -> Counter:
+    """The pinned entries whose file lies outside the scanned paths."""
+    return Counter(
+        {key: count for key, count in baseline.entries.items() if not in_scope(key[1])}
+    )
+
+
 def diff_against_baseline(
     findings: Sequence[Finding], baseline: Baseline
 ) -> BaselineDiff:
@@ -107,9 +116,12 @@ def diff_against_baseline(
     return BaselineDiff(new=new, accepted=accepted, stale=stale)
 
 
-def write_baseline(findings: Sequence[Finding], path: Path) -> Dict[str, object]:
-    """Serialize ``findings`` as the new baseline (sorted, deterministic)."""
-    counts: Counter = Counter(finding.key for finding in findings)
+def write_baseline(
+    findings: Sequence[Finding], path: Path, kept: Optional[Counter] = None
+) -> Dict[str, object]:
+    """Serialize ``findings`` plus the ``kept`` entries as the new baseline
+    (sorted, deterministic)."""
+    counts: Counter = Counter(finding.key for finding in findings) + (kept or Counter())
     payload = {
         "version": _VERSION,
         "findings": [

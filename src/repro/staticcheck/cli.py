@@ -5,7 +5,8 @@ Invoked as ``python -m repro.staticcheck`` or
 ``benchmarks`` (or explicit paths) with every registered rule, matches the
 findings against the committed ``staticcheck_baseline.json``, and exits:
 
-* ``0`` — clean: no new findings, no stale baseline entries;
+* ``0`` — clean: no new findings, no stale baseline entries (entries for
+  files outside the scanned paths are neither stale nor dropped);
 * ``1`` — new findings and/or baseline drift (the CI failure mode);
 * ``2`` — usage/environment errors: unknown rule id, malformed baseline.
 
@@ -22,7 +23,13 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .baseline import Baseline, BaselineError, diff_against_baseline, write_baseline
+from .baseline import (
+    Baseline,
+    BaselineError,
+    diff_against_baseline,
+    out_of_scope,
+    write_baseline,
+)
 from .engine import scan_paths
 from .findings import Finding
 from .rules import DEFAULT_RULES, default_rules, rule_by_id
@@ -125,14 +132,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         finding for report in reports for finding in report.findings
     )
 
-    if args.baseline_update:
-        payload = write_baseline(findings, baseline_path)
-        print(
-            f"repro lint: baseline updated with {len(findings)} finding(s) "
-            f"({len(payload['findings'])} distinct) -> {baseline_path}"
-        )
-        return EXIT_CLEAN
-
     if args.no_baseline or not baseline_path.exists():
         baseline = Baseline.empty()
     else:
@@ -141,7 +140,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except BaselineError as exc:
             print(f"repro lint: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    diff = diff_against_baseline(findings, baseline)
+
+    bases = [(root / entry).resolve() for entry in paths]
+
+    def in_scope(rel_path: str) -> bool:
+        target = (root / rel_path).resolve()
+        return any(target == base or base in target.parents for base in bases)
+
+    kept = out_of_scope(baseline, in_scope)
+    if args.baseline_update:
+        payload = write_baseline(findings, baseline_path, kept)
+        print(
+            f"repro lint: baseline updated with {len(findings)} finding(s) "
+            f"({len(payload['findings'])} distinct) -> {baseline_path}"
+        )
+        return EXIT_CLEAN
+
+    diff = diff_against_baseline(findings, Baseline(baseline.entries - kept))
 
     scanned = len(reports)
     if args.as_json:

@@ -25,17 +25,9 @@ def test_pipelined_crypto_removes_enc_dec_from_critical_path():
 
 def test_chain_cost_linear_in_hops():
     model = CostModel.for_key_size(512)
-    one = model.chain_cost(1, 128)
-    hundred = model.chain_cost(100, 128)
+    one = model.layered_aggregation_cost(1, 128)
+    hundred = model.layered_aggregation_cost(100, 128)
     assert hundred == pytest.approx(one * 100)
-
-
-def test_layered_aggregation_cost_degenerates_to_chain_cost():
-    # The serial chain is the one-hop-per-layer case: charging n layers
-    # must be bit-identical to the pre-topology chain charge.
-    model = CostModel.for_key_size(512)
-    for hops in (1, 7, 128):
-        assert model.layered_aggregation_cost(hops, 128) == model.chain_cost(hops, 128)
 
 
 def test_layered_aggregation_cost_scales_with_depth_not_hops():
@@ -91,7 +83,7 @@ def test_runtime_roughly_key_size_independent_when_pipelined():
         # structure the private engine charges for one trading window.
         return (
             model.window_setup_cost()
-            + model.chain_cost(200, ciphertext) * 2
+            + model.layered_aggregation_cost(200, ciphertext) * 2
             + model.comparison_cost(400, 64)
             + model.round_cost(96) * 4
             + model.aggregation_cost(400)
@@ -183,7 +175,6 @@ def test_worse_links_never_cheaper(link, extra_latency, bw_divisor, hops, size):
     latency, bandwidth = link
     better = _model_for_link(latency, bandwidth)
     worse = _model_for_link(latency + extra_latency, bandwidth / bw_divisor)
-    assert worse.chain_cost(hops, size) >= better.chain_cost(hops, size)
     assert worse.layered_aggregation_cost(hops, size) >= (
         better.layered_aggregation_cost(hops, size)
     )
@@ -271,7 +262,7 @@ def test_layered_cost_chain_shape_matches_chain_cost(hops, size):
     # maxima vs. hops * message_seconds), hence approx, not ==.
     model = CostModel.for_key_size(512)
     assert model.layered_cost([[size]] * hops) == pytest.approx(
-        model.chain_cost(hops, size)
+        model.layered_aggregation_cost(hops, size)
     )
 
 
@@ -281,7 +272,7 @@ def test_wan_profile_dominates_lan_on_message_costs():
     for size in (0, 64, 4096, 10**6):
         assert wan.message_cost(size) > lan.message_cost(size)
         assert wan.round_cost(size) > lan.round_cost(size)
-        assert wan.chain_cost(16, size) > lan.chain_cost(16, size)
+        assert wan.layered_aggregation_cost(16, size) > lan.layered_aggregation_cost(16, size)
     # Compute-side charges are link-independent.
     assert wan.aggregation_cost(100) == lan.aggregation_cost(100)
     assert wan.comparison_offline_cost(190) == lan.comparison_offline_cost(190)

@@ -2,7 +2,7 @@
 
 The predictor must stay consistent with the calibrated
 :class:`~repro.net.costmodel.CostModel` (a chain aggregation over local
-pipes *is* ``chain_cost``, bit-equal), the feasibility constraints must
+pipes *is* ``layered_aggregation_cost`` at depth n, bit-equal), the feasibility constraints must
 hold for every enumerated candidate, and the ``repro plan`` entry point
 must round-trip through argparse/JSON without touching real crypto.
 """
@@ -103,7 +103,7 @@ def test_chain_aggregation_over_pipes_is_exactly_chain_cost():
     cipher = _ciphertext_bytes(spec.key_size)
     assert aggregation_online_seconds(
         model, "chain", spec.agent_count, cipher, "local"
-    ) == model.chain_cost(spec.agent_count, cipher)
+    ) == model.layered_aggregation_cost(spec.agent_count, cipher)
 
 
 def test_socket_transport_charges_an_extra_ack_per_hop():

@@ -7,7 +7,6 @@ caught.  One mutation per section: a missing required key, a wrong type,
 a floor violation, and an identity certificate flipped to false.
 """
 
-import copy
 import importlib.util
 import json
 from pathlib import Path
@@ -24,49 +23,8 @@ check_bench_schema = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check_bench_schema)
 
 
-#: A minimal planner section that satisfies ``_check_planner`` — injected
-#: when the committed report predates the planner sweep, so these tests
-#: do not depend on regeneration order.
-def _synthetic_planner():
-    regime = {
-        "hosts": 1,
-        "cores_per_host": 4,
-        "agents": 12,
-        "windows": 6,
-        "link": "lan",
-        "naive_day_seconds": 10.0,
-        "planned_day_seconds": 2.0,
-        "speedup": 5.0,
-        "oracle_match": True,
-        "candidates_evaluated": 48,
-        "candidates_pruned": 144,
-        "space_size": 192,
-        "planned": {"topology": "tree:4"},
-    }
-    return {
-        "regimes": {
-            name: copy.deepcopy(regime)
-            for name in ("lan_single_host", "lan_cluster", "wan_homes")
-        },
-        "executed": {
-            "regime": "lan_single_host",
-            "windows_executed": 4,
-            "economics_identical": True,
-            "planned_day_seconds": 2.0,
-            "naive_day_seconds": 4.0,
-            "measured_speedup": 2.0,
-        },
-    }
-
-
-def _baseline_report():
-    report = json.loads(BENCH_PATH.read_text())
-    report.setdefault("planner", _synthetic_planner())
-    return report
-
-
 def _validate_mutated(tmp_path, mutate):
-    report = _baseline_report()
+    report = json.loads(BENCH_PATH.read_text())
     mutate(report)
     path = tmp_path / "BENCH_mutated.json"
     path.write_text(json.dumps(report))
@@ -105,7 +63,7 @@ MUTATIONS = [
     (
         "benchmarks-section-missing",
         lambda r: r.pop("benchmarks"),
-        "missing or empty 'benchmarks' section",
+        "missing top-level key 'benchmarks'",
     ),
     (
         "benchmarks-entry-lacks-mean",
@@ -157,7 +115,7 @@ MUTATIONS = [
         lambda r: r["garbling"]["widths"][_first(r["garbling"]["widths"])].pop(
             "halfgates"
         ),
-        "lacks the 'halfgates' scheme entry",
+        "garbling.widths['32'] lacks 'halfgates'",
     ),
     (
         "garbling-economics-false",
@@ -198,7 +156,7 @@ MUTATIONS = [
         lambda r: r["pipelining"]["identical_by_workers"].update(
             {_first(r["pipelining"]["identical_by_workers"]): False}
         ),
-        "pipelined day diverged",
+        "pipelining.identical_by_workers['1'] is not true",
     ),
     (
         "pipelining-key-missing",
@@ -242,7 +200,7 @@ MUTATIONS = [
         lambda r: r["planner"]["regimes"][_first(r["planner"]["regimes"])].update(
             oracle_match=False
         ),
-        "diverged from the exhaustive-enumeration argmin",
+        "planner.regimes['lan_cluster'].oracle_match is not true",
     ),
     (
         "planner-speedup-not-strict",
@@ -268,12 +226,12 @@ MUTATIONS = [
     (
         "planner-executed-missing",
         lambda r: r["planner"].pop("executed"),
-        "lacks a non-empty 'executed' certificate",
+        "planner lacks 'executed'",
     ),
     (
         "planner-economics-false",
         lambda r: r["planner"]["executed"].update(economics_identical=False),
-        "changed trades, not just clock charges",
+        "planner.executed.economics_identical is not true",
     ),
     (
         "planner-measured-floor",

@@ -1,38 +1,28 @@
-"""Exit-status tests for ``benchmarks/run_crypto_bench.py``.
+"""Tests for ``benchmarks/run_crypto_bench.py`` as a generic driver.
 
-The runner holds no gate of its own: it exits non-zero exactly when
-``validate_report`` from ``scripts/check_bench_schema.py`` finds a problem
-in the report it just built.  pytest-benchmark and the section experiments
-are stubbed to return the committed report's sections, so these tests take
-well under a second.
+The runner holds no gate and names no section: it observes and serializes
+every section declared in ``benchmarks/bench_sections.py`` and exits
+non-zero exactly when ``validate_report`` finds a problem in the report it
+just built.  pytest-benchmark and every section's ``observe`` are stubbed
+to return the committed report, so these tests take well under a second.
 """
 
 import copy
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-COMMITTED = json.loads((REPO_ROOT / "BENCH_crypto.json").read_text())
+COMMITTED_TEXT = (REPO_ROOT / "BENCH_crypto.json").read_text()
+COMMITTED = json.loads(COMMITTED_TEXT)
 
 _spec = importlib.util.spec_from_file_location(
     "run_crypto_bench", REPO_ROOT / "benchmarks" / "run_crypto_bench.py"
 )
 run_crypto_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(run_crypto_bench)
-
-#: section builder -> the report key it fills.
-SECTION_BUILDERS = {
-    "run_comparison_section": "comparison",
-    "run_garbling_section": "garbling",
-    "run_multiexp_section": "multiexp",
-    "run_topology_section": "aggregation_topology",
-    "run_session_section": "session_reuse",
-    "run_pipelining_section": "pipelining",
-    "run_chaos_section": "chaos",
-    "run_planner_section": "planner",
-    "run_parallel_day": "parallel_runner",
-}
+bench_sections = run_crypto_bench.bench_sections
 
 
 def _raw_benchmarks(report):
@@ -56,7 +46,9 @@ def _raw_benchmarks(report):
     }
 
 
-def _run_main(monkeypatch, tmp_path, mutate=lambda report: None):
+def _run_main(monkeypatch, tmp_path, mutate=lambda report: None, extra=()):
+    """Run ``main`` with every declared section observing ``report``'s
+    value, plus the ``extra`` sections; return (status, written text)."""
     report = copy.deepcopy(COMMITTED)
     mutate(report)
 
@@ -64,21 +56,25 @@ def _run_main(monkeypatch, tmp_path, mutate=lambda report: None):
         json_path.write_text(json.dumps(_raw_benchmarks(report)))
 
     monkeypatch.setattr(run_crypto_bench, "run_benchmarks", fake_run_benchmarks)
-    for builder, key in SECTION_BUILDERS.items():
-        monkeypatch.setattr(
-            run_crypto_bench, builder, lambda *args, key=key: copy.deepcopy(report[key])
+    stubbed = tuple(
+        dataclasses.replace(
+            section,
+            observe=lambda run, name=section.name, **params: copy.deepcopy(report[name]),
         )
+        for section in bench_sections.SECTIONS
+    )
+    monkeypatch.setattr(bench_sections, "SECTIONS", stubbed + tuple(extra))
     output = tmp_path / "BENCH_crypto.json"
     status = run_crypto_bench.main(
         ["--scale", report["scale"], "--output", str(output)]
     )
-    return status, json.loads(output.read_text())
+    return status, output.read_text()
 
 
 def test_clean_report_exits_zero(monkeypatch, tmp_path):
     status, written = _run_main(monkeypatch, tmp_path)
     assert status == 0
-    assert written == COMMITTED
+    assert written == COMMITTED_TEXT
 
 
 def test_floor_violation_fails_the_run(monkeypatch, tmp_path, capsys):
@@ -90,5 +86,37 @@ def test_floor_violation_fails_the_run(monkeypatch, tmp_path, capsys):
     assert status == 1
     assert "below the documented 3.0x floor" in capsys.readouterr().err
     # The report is written even when a gate fails.
-    reductions = [e["simulated_online_reduction"] for e in written["comparison"].values()]
-    assert 1.0 in reductions
+    comparison = json.loads(written)["comparison"]
+    assert 1.0 in [entry["simulated_online_reduction"] for entry in comparison.values()]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Throwaway:
+    certified: bool
+    ratio: float
+
+
+def _throwaway_gates(section):
+    if not section.get("ratio", 0.0) >= 2.0:
+        yield f"throwaway ratio {section.get('ratio')!r} is below 2.0"
+
+
+def test_a_declared_section_needs_no_other_edit(monkeypatch, tmp_path):
+    throwaway = bench_sections.Section(
+        "throwaway",
+        _Throwaway,
+        lambda run: _Throwaway(certified=True, ratio=3.14159265),
+        gates=_throwaway_gates,
+    )
+    status, written = _run_main(monkeypatch, tmp_path, extra=(throwaway,))
+    assert status == 0
+    report = json.loads(written)
+    assert report["throwaway"] == {"certified": True, "ratio": 3.14159}
+
+    del report["throwaway"]["certified"]
+    report["throwaway"]["ratio"] = 1.0
+    problems = run_crypto_bench.validate_report(report)
+    assert problems == [
+        "throwaway lacks 'certified'",
+        "throwaway ratio 1.0 is below 2.0",
+    ]

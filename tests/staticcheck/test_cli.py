@@ -116,6 +116,37 @@ def test_baseline_update_round_trip(mini_repo: Path, capsys):
     assert run(mini_repo) == EXIT_CLEAN
 
 
+def test_narrowed_scan_ignores_entries_outside_its_paths(mini_repo: Path, capsys):
+    (mini_repo / "benchmarks").mkdir()
+    (mini_repo / "benchmarks" / "clocky.py").write_text(
+        "import random\n\n\ndef f(g):\n    return g(rng=random.Random(1))\n"
+    )
+    assert main(["--root", str(mini_repo), "src/repro", "benchmarks"]) == EXIT_FINDINGS
+    assert main(
+        ["--root", str(mini_repo), "src/repro", "benchmarks", "--baseline-update"]
+    ) == EXIT_CLEAN
+    capsys.readouterr()
+
+    # Scanning src/repro alone never saw benchmarks/: its pin is not stale.
+    assert run(mini_repo) == EXIT_CLEAN
+    assert "stale baseline entry [" not in capsys.readouterr().out
+
+
+def test_narrowed_baseline_update_keeps_entries_outside_its_paths(mini_repo: Path):
+    (mini_repo / "benchmarks").mkdir()
+    (mini_repo / "benchmarks" / "clocky.py").write_text(
+        "import random\n\n\ndef f(g):\n    return g(rng=random.Random(1))\n"
+    )
+    assert main(
+        ["--root", str(mini_repo), "src/repro", "benchmarks", "--baseline-update"]
+    ) == EXIT_CLEAN
+    pinned = (mini_repo / "staticcheck_baseline.json").read_text()
+
+    assert run(mini_repo, "--baseline-update") == EXIT_CLEAN
+    assert (mini_repo / "staticcheck_baseline.json").read_text() == pinned
+    assert main(["--root", str(mini_repo), "src/repro", "benchmarks"]) == EXIT_CLEAN
+
+
 # -- positive paths / output modes --------------------------------------------------
 
 
